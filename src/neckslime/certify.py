@@ -22,9 +22,9 @@ from math import comb, gcd
 from typing import Callable, Iterator
 
 from .bijection import build_sigma, prime_bijection, riwi_rotation, riwi_slime, verify_riwi
-from .codes import Code, enumerate_codes, is_prime
+from .codes import Code, enumerate_codes, is_prime, weighted_sum
 from .necklaces import count_necklaces, enumerate_necklaces
-from .slime import decompose, migrate_backward, migrate_forward
+from .slime import is_valid, runs, step
 
 _DETAIL_CAP = 10
 
@@ -102,7 +102,7 @@ def check_invalid_iff_constant(n: int, k: int) -> Certificate:
     invalid = 0
     for f in enumerate_codes(n, k):
         tally.examined += 1
-        is_invalid = not decompose(f).valid
+        is_invalid = not is_valid(f)
         if is_invalid:
             invalid += 1
         if is_invalid != f.is_constant():
@@ -112,42 +112,51 @@ def check_invalid_iff_constant(n: int, k: int) -> Certificate:
 
 
 def check_migration_laws(n: int, k: int) -> Certificate:
-    """Round trips, conserved quantities, ws shifts, and equivariance for all valid codes."""
+    """Round trips, conserved quantities, ws shifts, and equivariance for all valid codes.
+
+    Runs on the slime kernel: each code and each of its two images is
+    decomposed once, and the images' runs drive the inverse steps.
+    """
     tally = _Tally("migration-laws", n, k)
-    forward: dict[Code, Code] = {}
+    forward: dict[tuple[int, ...], tuple[int, ...]] = {}
     for f in enumerate_codes(n, k):
         tally.examined += 1
-        dec = decompose(f)
-        if not dec.valid:
+        e = f.entries
+        m, rs = runs(e)
+        if rs is None:
             continue
-        w = dec.weight
+        w = sum(ln // 2 for _, ln in rs)
         if not 1 <= w <= n // 2:
             tally.fail(f"{f}: weight {w} outside [1, {n // 2}]")
-        g = migrate_forward(f)
-        b = migrate_backward(f)
-        forward[f] = g
-        if migrate_backward(g) != f:
+        g = step(e, rs, True)
+        b = step(e, rs, False)
+        forward[e] = g
+        gm, grs = runs(g)
+        bm, brs = runs(b)
+        # an invalid image has no runs to step back with; it fails below
+        if grs is not None and step(g, grs, False) != e:
             tally.fail(f"{f}: backward(forward) is not the identity")
-        if migrate_forward(b) != f:
+        if brs is not None and step(b, brs, True) != e:
             tally.fail(f"{f}: forward(backward) is not the identity")
-        for label, image in (("forward", g), ("backward", b)):
-            idec = decompose(image)
-            if not idec.valid:
-                tally.fail(f"{f}: {label} image {image} is invalid")
+        for label, image, im, irs in (("forward", g, gm, grs), ("backward", b, bm, brs)):
+            if irs is None:
+                tally.fail(f"{f}: {label} image {Code._trusted(image)} is invalid")
                 continue
-            if idec.m != dec.m:
-                tally.fail(f"{f}: {label} image changed m {dec.m} -> {idec.m}")
-            if len(idec.slimes) != len(dec.slimes):
+            if im != m:
+                tally.fail(f"{f}: {label} image changed m {m} -> {im}")
+            if len(irs) != len(rs):
                 tally.fail(f"{f}: {label} image changed slime count")
-            if idec.weight != w:
-                tally.fail(f"{f}: {label} image changed weight {w} -> {idec.weight}")
-        if g.weighted_sum() != (f.weighted_sum() + w) % n:
+            iw = sum(ln // 2 for _, ln in irs)
+            if iw != w:
+                tally.fail(f"{f}: {label} image changed weight {w} -> {iw}")
+        ws = weighted_sum(e)
+        if weighted_sum(g) != (ws + w) % n:
             tally.fail(f"{f}: forward ws shift is not +{w}")
-        if b.weighted_sum() != (f.weighted_sum() - w) % n:
+        if weighted_sum(b) != (ws - w) % n:
             tally.fail(f"{f}: backward ws shift is not -{w}")
-    for f, g in forward.items():
-        if forward.get(f.rotate(1)) != g.rotate(1):
-            tally.fail(f"{f}: forward migration does not commute with rotation")
+    for e, g in forward.items():
+        if forward.get(e[1:] + e[:1]) != g[1:] + g[:1]:
+            tally.fail(f"{Code._trusted(e)}: forward migration does not commute with rotation")
     tally.info["valid"] = len(forward)
     tally.info["invalid"] = tally.examined - len(forward)
     return tally.certificate()

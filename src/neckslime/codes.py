@@ -18,6 +18,7 @@ lexicographic order to keep downstream tables reproducible.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import mul
 from typing import Iterator
 
 
@@ -39,6 +40,11 @@ def is_prime(n: int) -> bool:
     return True
 
 
+def weighted_sum(entries: tuple[int, ...]) -> int:
+    """sum_j j * entries[j] modulo len(entries), on a plain entry tuple."""
+    return sum(map(mul, range(len(entries)), entries)) % len(entries)
+
+
 @dataclass(frozen=True, slots=True)
 class Code:
     """A cyclic sequence of nonnegative integers.
@@ -54,11 +60,23 @@ class Code:
         if not entries:
             raise ValueError("a code needs at least one entry")
         for v in entries:
-            if not isinstance(v, int):
+            if not isinstance(v, int) or isinstance(v, bool):
                 raise TypeError(f"code entries must be integers, got {v!r}")
             if v < 0:
                 raise ValueError(f"code entries must be nonnegative, got {v}")
         object.__setattr__(self, "entries", entries)
+
+    @classmethod
+    def _trusted(cls, entries: tuple[int, ...]) -> "Code":
+        """A code over a tuple the package built itself, skipping validation.
+
+        Only for entries already known to be a nonempty tuple of
+        nonnegative ints; outside input goes through ``Code(...)`` or
+        :meth:`parse`.
+        """
+        code = object.__new__(cls)
+        object.__setattr__(code, "entries", entries)
+        return code
 
     @property
     def n(self) -> int:
@@ -79,11 +97,11 @@ class Code:
         s = steps % self.n
         if s == 0:
             return self
-        return Code(self.entries[s:] + self.entries[:s])
+        return Code._trusted(self.entries[s:] + self.entries[:s])
 
     def weighted_sum(self) -> int:
         """sum_j j * entries[j] modulo n, the residue class of the code."""
-        return sum(j * v for j, v in enumerate(self.entries)) % self.n
+        return weighted_sum(self.entries)
 
     def period(self) -> int:
         """Smallest divisor ``d`` of ``n`` such that the code repeats every ``d`` steps."""
@@ -132,9 +150,9 @@ def enumerate_codes(
     if t is not None:
         t %= n
     for entries in _compositions(n, k):
-        code = Code(entries)
-        if t is not None and code.weighted_sum() != t:
+        if t is not None and weighted_sum(entries) != t:
             continue
+        code = Code._trusted(entries)
         if full_period_only and code.period() != n:
             continue
         yield code

@@ -11,7 +11,7 @@ The number of such necklaces is
 
     (1 / (n+k)) * sum over d | gcd(n, k) of phi(d) * C((n+k)/d, n/d)
 
-which this module evaluates exactly (the division is asserted to be exact).
+which this module evaluates exactly (the division is checked to be exact).
 For odd n that count also equals the number of codes in the zero residue
 class, a coincidence the certification checks lean on; for even n the two
 counts genuinely differ.
@@ -23,6 +23,10 @@ from dataclasses import dataclass
 from math import comb, gcd
 
 from .codes import Code, divisors, enumerate_codes
+
+
+class NecklaceCountError(ValueError):
+    """Raised when the divisor sum is not a multiple of n + k, which means a bug upstream."""
 
 
 def binomial(a: int, b: int) -> int:
@@ -112,7 +116,8 @@ def count_necklaces(n: int, k: int) -> int:
     for d in divisors(gcd(n, k)):  # gcd(n, 0) == n covers the k == 0 case
         total += euler_phi(d) * binomial((n + k) // d, n // d)
     q, r = divmod(total, n + k)
-    assert r == 0, f"necklace count for ({n}, {k}) did not divide evenly"
+    if r:
+        raise NecklaceCountError(f"necklace count for ({n}, {k}) did not divide evenly")
     return q
 
 

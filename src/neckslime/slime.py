@@ -14,12 +14,12 @@ disjoint and the *weight*
 
 satisfies 1 <= w(f) <= floor(n / 2).
 
-A *migration* moves every slime one step simultaneously:
-
-  * even slime a,b,...,a,b  -> forward a-1,b+1,...,a-1,b+1 (backward mirrors);
-  * odd slime a,b,...,b,a   -> forward keeps the left endpoint and yields
-    a,b-1,a+1,...,b-1,a+1; backward keeps the right endpoint and yields
-    a-1,b+1,...,a-1,b+1,a... i.e. the reflected move.
+A *migration* moves every slime one step simultaneously: a slime of size
+ln starting at s moves one unit from each of its positions s + (ln & 1) + 2j
+to the next position (forward) or from each s + 2j + 1 to s + 2j (backward),
+for 0 <= j < ln // 2.  An even slime a,b,...,a,b thus turns into
+a-1,b+1,...,a-1,b+1; an odd slime keeps its left endpoint going forward and
+its right endpoint going backward.
 
 Migration shifts the weighted sum by +w(f) (forward) or -w(f) (backward),
 preserves m, the number of slimes, the weight and validity, and the two
@@ -30,6 +30,9 @@ directions invert each other.  Iterating the forward move
 times shifts the weighted sum by exactly +1 while commuting with rotation;
 that unit move is the engine behind the slime-based orbit bijection.  It
 needs gcd(w(f), n) = 1, which always holds when n is prime.
+
+The kernel is :func:`runs` and :func:`step` on plain entry tuples; the functions
+on :class:`Code` wrap it, and only :func:`decompose` builds :class:`Slime` objects.
 """
 
 from __future__ import annotations
@@ -81,9 +84,35 @@ class SlimeDecomposition:
 
 
 def max_adjacent_sum(code: Code) -> int:
-    e = code.entries
-    n = code.n
-    return max(e[j] + e[(j + 1) % n] for j in range(n))
+    return runs(code.entries)[0]
+
+
+def runs(entries: tuple[int, ...]) -> tuple[int, tuple[tuple[int, int], ...] | None]:
+    """``(m, runs)``: the hot runs as ``(start, length)`` pairs sorted by start,
+    or None in place of the runs when the code is invalid."""
+    n = len(entries)
+    sums = [a + b for a, b in zip(entries, entries[1:] + entries[:1])]
+    m = max(sums)
+    hot = [s == m for s in sums]
+    if all(hot):
+        return m, None
+    hot += hot  # a run may wrap past position n - 1 but ends at a cold pair before 2n
+    return m, tuple([(j, hot.index(False, j) - j + 1) for j in range(n) if hot[j] and not hot[j - 1]])
+
+
+def step(entries: tuple[int, ...], runs: tuple[tuple[int, int], ...], forward: bool) -> tuple[int, ...]:
+    """One migration, by the rule in the module docstring, of ``entries`` whose hot runs are ``runs``."""
+    n = len(entries)
+    out = list(entries)
+    dst = 1 if forward else -1
+    for s, ln in runs:
+        src = s + (ln & 1) if forward else s + 1
+        for p in range(src, src + ln - (ln & 1), 2):
+            out[p % n] -= 1
+            out[(p + dst) % n] += 1
+    if min(out) < 0:
+        raise InvalidCodeError(f"migration produced a negative entry: {runs} are not the slimes of {entries}")
+    return tuple(out)
 
 
 def decompose(code: Code) -> SlimeDecomposition:
@@ -92,59 +121,31 @@ def decompose(code: Code) -> SlimeDecomposition:
     Returned slimes are sorted by start position.  An invalid code (every
     pair sum equal, which is always the case for n <= 2) carries no slimes.
     """
-    e = code.entries
-    n = code.n
-    sums = [e[j] + e[(j + 1) % n] for j in range(n)]
-    m = max(sums)
-    hot = [s == m for s in sums]
-    if all(hot):
+    m, rs = runs(code.entries)
+    if rs is None:
         return SlimeDecomposition(code=code, m=m, valid=False, slimes=())
-    slimes = []
-    for j in range(n):
-        if hot[j] and not hot[(j - 1) % n]:
-            r = 1
-            while hot[(j + r) % n]:
-                r += 1
-            slimes.append(Slime(start=j, length=r + 1))
-    return SlimeDecomposition(code=code, m=m, valid=True, slimes=tuple(slimes))
+    return SlimeDecomposition(code=code, m=m, valid=True, slimes=tuple(Slime(s, ln) for s, ln in rs))
 
 
 def is_valid(code: Code) -> bool:
-    return decompose(code).valid
+    return runs(code.entries)[1] is not None
 
 
 def weight(code: Code) -> int:
-    return decompose(code).weight
+    return _weight(code, runs(code.entries)[1])
+
+
+def _weight(code: Code, rs: tuple[tuple[int, int], ...] | None) -> int:
+    if rs is None:
+        raise InvalidCodeError(f"code {code} has no weight: all pair sums equal")
+    return sum(ln // 2 for _, ln in rs)
 
 
 def _migrate(code: Code, forward: bool) -> Code:
-    dec = decompose(code)
-    if not dec.valid:
+    rs = runs(code.entries)[1]
+    if rs is None:
         raise InvalidCodeError(f"cannot migrate invalid code {code}")
-    n = code.n
-    out = list(code.entries)
-    for slime in dec.slimes:
-        pos = slime.positions(n)
-        ln = slime.length
-        if ln % 2 == 0:
-            # alternating a,b,...,a,b: shift one unit from each a to each b
-            for i, p in enumerate(pos):
-                out[p] += (-1 if i % 2 == 0 else 1) if forward else (1 if i % 2 == 0 else -1)
-        else:
-            # endpoints both carry a; forward pins the left one, backward the right
-            if forward:
-                for i, p in enumerate(pos):
-                    if i == 0:
-                        continue
-                    out[p] += -1 if i % 2 == 1 else 1
-            else:
-                for i, p in enumerate(pos):
-                    if i == ln - 1:
-                        continue
-                    out[p] += -1 if i % 2 == 1 else 1
-    for v in out:
-        assert v >= 0, f"migration produced a negative entry from {code}"
-    return Code(tuple(out))
+    return Code._trusted(step(code.entries, rs, forward))
 
 
 def migrate_forward(code: Code) -> Code:
@@ -171,14 +172,12 @@ def unit_migration_inverse(code: Code) -> Code:
 
 
 def _unit(code: Code, forward: bool) -> Code:
-    n = code.n
-    w = weight(code)  # raises InvalidCodeError on invalid codes
+    n, e = code.n, code.entries
+    rs = runs(e)[1]
+    w = _weight(code, rs)  # raises InvalidCodeError on invalid codes
     if gcd(w, n) != 1:
-        raise NonCoprimeWeightError(
-            f"weight {w} of {code} is not invertible mod {n} (gcd {gcd(w, n)})"
-        )
-    steps = pow(w, -1, n)
-    step = migrate_forward if forward else migrate_backward
-    for _ in range(steps):
-        code = step(code)
-    return code
+        raise NonCoprimeWeightError(f"weight {w} of {code} is not invertible mod {n} (gcd {gcd(w, n)})")
+    e = step(e, rs, forward)
+    for _ in range(pow(w, -1, n) - 1):  # migration preserves validity, so every image has runs
+        e = step(e, runs(e)[1], forward)
+    return Code._trusted(e)

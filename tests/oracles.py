@@ -2,13 +2,15 @@
 
 Everything here is written the dumbest possible way, sharing no code with
 the package: codes come from a product grid, necklaces from canonical
-rotations of literal bead strings.  Slow is fine; these cap out around
-n + k of a dozen.
+rotations of literal bead strings, slimes from scanning every start and
+migrations from each slime's value pattern.  Slow is fine; the enumerating
+ones cap out around n + k of a dozen.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 
 
 def grid_codes(n: int, k: int) -> list[tuple[int, ...]]:
@@ -51,3 +53,66 @@ def tuple_period(entries: tuple[int, ...]) -> int:
         if n % d == 0 and entries == entries[d:] + entries[:d]:
             return d
     raise AssertionError("unreachable")
+
+
+def pair_sums(entries: tuple[int, ...]) -> list[int]:
+    """Every cyclic adjacent-pair sum, pair j covering positions j and j + 1."""
+    n = len(entries)
+    return [entries[j] + entries[(j + 1) % n] for j in range(n)]
+
+
+def slime_runs(entries: tuple[int, ...]):
+    """(m, runs): the maximal runs of pairs summing to the top sum m, as sorted
+    (start, size) pairs with size counted in positions, or (m, None) when every
+    pair sum is m.  Found by trying every position as a start."""
+    n = len(entries)
+    sums = pair_sums(entries)
+    m = max(sums)
+    if all(s == m for s in sums):
+        return m, None
+    runs = []
+    for start in range(n):
+        if sums[start] != m or sums[start - 1] == m:
+            continue
+        pairs = 0
+        while sums[(start + pairs) % n] == m:
+            pairs += 1
+        runs.append((start, pairs + 1))
+    return m, runs
+
+
+def slime_migrate(entries: tuple[int, ...], forward: bool) -> tuple[int, ...]:
+    """One migration, rewriting each slime by its value pattern:
+
+    * even a,b,...,a,b: forward a-1,b+1,...,a-1,b+1; backward a+1,b-1,...,a+1,b-1;
+    * odd a,b,...,b,a: forward a,b-1,a+1,...,b-1,a+1; backward a+1,b-1,...,a+1,b-1,a.
+    """
+    n = len(entries)
+    out = list(entries)
+    for start, size in slime_runs(entries)[1]:
+        pos = [(start + i) % n for i in range(size)]
+        a, b = entries[pos[0]], entries[pos[1]]
+        if size % 2 == 0:
+            values = ([a - 1, b + 1] if forward else [a + 1, b - 1]) * (size // 2)
+        elif forward:
+            values = [a] + [b - 1, a + 1] * (size // 2)
+        else:
+            values = [a + 1, b - 1] * (size // 2) + [a]
+        for p, v in zip(pos, values):
+            out[p] = v
+    return tuple(out)
+
+
+def slime_phi(entries: tuple[int, ...], forward: bool = True):
+    """The unit step (its inverse with ``forward`` false), or None where the
+    code is invalid or its weight is not invertible mod n."""
+    n = len(entries)
+    runs = slime_runs(entries)[1]
+    if runs is None:
+        return None
+    w = sum(size // 2 for _, size in runs)
+    if math.gcd(w, n) != 1:
+        return None
+    for _ in range(pow(w, -1, n)):
+        entries = slime_migrate(entries, forward)
+    return entries

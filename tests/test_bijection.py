@@ -268,6 +268,12 @@ class TestCustomMaps:
         with pytest.raises(ValueError):
             load_riwi_map(path)
 
+    def test_load_rejects_bools(self, tmp_path):
+        path = tmp_path / "bools.json"
+        path.write_text('[{"from": [true, 0, 2], "to": [1, 0, 2]}]')
+        with pytest.raises(ValueError, match="bad entry"):
+            load_riwi_map(path)
+
     def test_sigma_with_constant_matches_prime_path(self):
         direct = sigma_with_constant(3, 3, riwi_slime(3, 3))
         assert direct.pairs == prime_bijection(3, 3).pairs

@@ -44,6 +44,25 @@ class TestMigrationLaws:
     def test_even_length_cell(self):
         assert check_migration_laws(6, 4).passed
 
+    def test_failures_name_codes(self, monkeypatch):
+        import neckslime.certify as certify
+
+        real = certify.step
+
+        def broken(entries, runs, forward):
+            return (1, 1, 1) if forward and entries == (2, 1, 0) else real(entries, runs, forward)
+
+        monkeypatch.setattr(certify, "step", broken)
+        cert = check_migration_laws(3, 3)
+        assert cert.failure_count == 5
+        assert set(cert.counterexamples) == {
+            "1,2,0: forward(backward) is not the identity",
+            "2,1,0: forward image 1,1,1 is invalid",
+            "2,1,0: forward ws shift is not +1",
+            "0,2,1: forward migration does not commute with rotation",
+            "2,1,0: forward migration does not commute with rotation",
+        }
+
 
 class TestCountIdentity:
     def test_odd_cells(self):

@@ -195,6 +195,13 @@ class TestExitCodes:
     def test_missing_map_file_is_one(self):
         assert run("verify-riwi", "--map", "/nonexistent.json", "3", "3").returncode == 1
 
+    def test_bool_map_entry_is_one(self, tmp_path):
+        path = tmp_path / "bools.json"
+        path.write_text('[{"from": [true, 0, 2], "to": [1, 0, 2]}]')
+        p = run("verify-riwi", "--map", str(path), "3", "3")
+        assert p.returncode == 1 and p.stdout == ""
+        assert "error: map file" in p.stderr and "bad entry" in p.stderr
+
     def test_error_messages_on_stderr(self):
         p = run("bijection", "6", "4")
         assert p.stdout == "" and "riwi map" in p.stderr

@@ -33,6 +33,12 @@ class TestConstruction:
         with pytest.raises(TypeError):
             Code((1.5, 0))
 
+    def test_bool_rejected(self):
+        with pytest.raises(TypeError):
+            Code((True, False, 2))
+        with pytest.raises(TypeError):
+            Code((1, True))
+
     def test_list_input_coerced(self):
         f = Code([1, 2])
         assert f.entries == (1, 2)
@@ -52,6 +58,21 @@ class TestConstruction:
         d = Code((3, 0, 0)).to_json_dict()
         assert d == {"entries": [3, 0, 0], "n": 3, "k": 3}
         json.dumps(d)
+
+
+class TestTrusted:
+    """Codes the package builds without validation behave like validated ones."""
+
+    def test_matches_validated(self):
+        trusted = list(enumerate_codes(5, 4)) + list(enumerate_codes(4, 3, t=1, full_period_only=True))
+        trusted += [f.rotate(s) for f in enumerate_codes(4, 3) for s in range(1, 4)]
+        validated = [Code(f.entries) for f in trusted]
+        assert trusted == validated
+        assert [hash(f) for f in trusted] == [hash(f) for f in validated]
+        assert all(type(f) is Code and type(f.entries) is tuple for f in trusted)
+        key = lambda f: f.entries  # noqa: E731
+        assert sorted(trusted, key=key) == sorted(validated, key=key)
+        assert set(trusted) == set(validated)
 
 
 class TestRotate:

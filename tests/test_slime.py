@@ -1,5 +1,10 @@
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 from hypothesis import assume, given, strategies as st
 
@@ -16,6 +21,9 @@ from neckslime import (
     unit_migration_inverse,
     weight,
 )
+from neckslime.slime import runs, step
+
+from oracles import slime_migrate, slime_phi, slime_runs
 
 CHAIN0 = Code((1, 1, 2, 1, 0, 1, 0, 3, 0, 0, 2))
 CHAIN1 = Code((2, 1, 1, 2, 0, 1, 0, 2, 1, 0, 1))
@@ -202,3 +210,69 @@ class TestUnitMigration:
         g = unit_migration(f)
         assert g.weighted_sum() == (f.weighted_sum() + 1) % f.n
         assert unit_migration_inverse(g) == f
+
+
+def _against_oracle(entries: tuple[int, ...]) -> None:
+    m, rs = runs(entries)
+    om, ors = slime_runs(entries)
+    assert m == om
+    assert (rs is None) == (ors is None)
+    if rs is None:
+        return
+    assert list(rs) == ors
+    f = Code(entries)
+    for forward, move in ((True, migrate_forward), (False, migrate_backward)):
+        image = slime_migrate(entries, forward)
+        assert step(entries, rs, forward) == image
+        assert move(f).entries == image
+    phi = slime_phi(entries)
+    if phi is None:
+        with pytest.raises(NonCoprimeWeightError):
+            unit_migration(f)
+    else:
+        assert unit_migration(f).entries == phi
+        assert unit_migration_inverse(f).entries == slime_phi(entries, forward=False)
+
+
+class TestKernelAgainstOracle:
+    def test_every_small_code(self):
+        from neckslime import enumerate_codes
+
+        for n in range(1, 9):
+            for k in range(7):
+                for f in enumerate_codes(n, k):
+                    _against_oracle(f.entries)
+
+    @given(st.lists(st.integers(0, 5), min_size=1, max_size=31))
+    def test_long_codes(self, entries):
+        _against_oracle(tuple(entries))
+
+
+def test_safety_checks_survive_optimize():
+    """Forged runs and an inexact necklace count still raise under ``python -O``."""
+    script = """
+import sys
+import neckslime.necklaces as nl
+from neckslime.slime import InvalidCodeError, step
+
+assert sys.flags.optimize, "not running under -O"
+try:
+    step((0, 1, 0), ((0, 2),), True)
+except InvalidCodeError as exc:
+    print("step:", exc)
+nl.binomial = lambda a, b: 1
+try:
+    nl.count_necklaces(3, 3)
+except nl.NecklaceCountError as exc:
+    print("count:", exc)
+"""
+    assert issubclass(InvalidCodeError, ValueError)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    p = subprocess.run([sys.executable, "-O", "-c", script], capture_output=True, text=True, env=env)
+    assert p.returncode == 0, p.stderr
+    assert "step: migration produced a negative entry" in p.stdout
+    assert "count: necklace count for (3, 3) did not divide evenly" in p.stdout
+    from neckslime.necklaces import NecklaceCountError
+
+    assert issubclass(NecklaceCountError, ValueError)
