@@ -34,7 +34,7 @@ metadata and changing it must never break bijectivity.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from math import gcd
 from pathlib import Path
 from typing import Callable, Iterable
@@ -155,7 +155,10 @@ def riwi_from_pairs(pairs: Iterable[tuple[Code, Code]], name: str = "pairs") -> 
 def load_riwi_map(path: str | Path) -> RiwiMap:
     """Load a custom map from a JSON array of {"from": [...], "to": [...]} objects."""
     path = Path(path)
-    data = json.loads(path.read_text())
+    try:
+        data = json.loads(path.read_text())
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"map file {path}: not valid JSON: {exc}") from None
     if not isinstance(data, list):
         raise ValueError(f"map file {path} must hold a JSON array of from/to objects")
     pairs = []
@@ -232,21 +235,17 @@ def build_sigma(n: int, k: int, chi: RiwiMap, chooser: str = "lexmin") -> Biject
 def prime_bijection(n: int, k: int, chooser: str = "lexmin") -> BijectionTable:
     """The total bijection F_{n,k,0} -> necklaces for prime n.
 
-    Odd primes run the sigma construction with the slime riwi map and pair
-    the constant code with the constant necklace when n divides k (the only
-    non-full-period case a prime length admits).  n = 2 uses the parity rule
-    for even k and the rotation construction for odd k.
+    Odd primes run :func:`sigma_with_constant` with the slime riwi map (the
+    constant code is the only non-full-period case a prime length admits).
+    n = 2 uses the parity rule for even k and the rotation map for odd k.
     """
     if not is_prime(n):
         raise ValueError(f"prime_bijection needs prime n, got {n}")
     if k < 0:
         raise ValueError(f"prime_bijection: need k >= 0, got {k}")
-    if n == 2:
-        if k % 2 == 0:
-            return _n2_parity_table(k, chooser)
-        return build_sigma(2, k, riwi_rotation(2, k), chooser)
-    table = build_sigma(n, k, riwi_slime(n, k), chooser)
-    return _with_constant_pair(table)
+    if n == 2 and k % 2 == 0:
+        return _n2_parity_table(k, chooser)
+    return sigma_with_constant(n, k, riwi_rotation(2, k) if n == 2 else riwi_slime(n, k), chooser)
 
 
 def _n2_parity_table(k: int, chooser: str) -> BijectionTable:
@@ -269,24 +268,21 @@ def _n2_parity_table(k: int, chooser: str) -> BijectionTable:
 
 
 def sigma_with_constant(n: int, k: int, chi: RiwiMap, chooser: str = "lexmin") -> BijectionTable:
-    """Sigma table plus the constant-code pair when the constant exists.
+    """Sigma table plus the constant code's pair when that code is zero-residue.
 
-    This is the shape the CLI emits for an explicitly chosen riwi map; for
-    odd prime n with the slime map it coincides with :func:`prime_bijection`.
+    Every emitted table goes through here, and nothing else adds the
+    constant pair.  The constant code exists when n divides k and, having
+    period 1, is never seen by the sigma construction.  Its weighted sum is
+    always 0 for odd n; for even n it is 0 only when k / n is even.
     """
-    return _with_constant_pair(build_sigma(n, k, chi, chooser))
-
-
-def _with_constant_pair(table: BijectionTable) -> BijectionTable:
-    n, k = table.n, table.k
-    if n > 1 and k % n == 0:
-        const = Code((k // n,) * n)
-        pairs = tuple(sorted(
-            table.pairs + ((const, canonicalize(const)),),
-            key=lambda p: p[0].entries,
-        ))
-        return BijectionTable(n=n, k=k, riwi=table.riwi, chooser=table.chooser, pairs=pairs)
-    return table
+    table = build_sigma(n, k, chi, chooser)
+    if n == 1 or k % n:
+        return table
+    const = Code._trusted((k // n,) * n)
+    if const.weighted_sum():
+        return table
+    pairs = tuple(sorted(table.pairs + ((const, canonicalize(const)),), key=lambda p: p[0].entries))
+    return replace(table, pairs=pairs)
 
 
 @dataclass(frozen=True, slots=True)

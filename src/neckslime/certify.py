@@ -289,30 +289,30 @@ class Envelope:
                     yield n, k
 
 
+def _lookup(name: str) -> tuple[Callable[[int, int], Certificate], Callable[[int, int], bool]]:
+    try:
+        return CHECKS[name]
+    except KeyError:
+        raise KeyError(f"unknown check {name!r}; known: {', '.join(CHECKS)}") from None
+
+
 def run_cell(n: int, k: int, check: str = "all") -> list[Certificate]:
     """All applicable checks at one cell, or one named check (which may refuse the cell)."""
     if check == "all":
         return [func(n, k) for func, applies in CHECKS.values() if applies(n, k)]
-    if check not in CHECKS:
-        raise KeyError(f"unknown check {check!r}; known: {', '.join(CHECKS)}")
-    func, _ = CHECKS[check]
+    func, _ = _lookup(check)
     return [func(n, k)]
 
 
-def run_sweep(envelope: Envelope | None = None, checks: list[str] | None = None) -> list[Certificate]:
-    """Run every applicable check over every cell of the envelope."""
+def run_sweep(envelope: Envelope | None = None, checks: list[str] | None = None) -> Iterator[Certificate]:
+    """Every applicable check over every cell of the envelope, yielded as each one finishes.
+
+    Check names are resolved on the call, so an unknown one raises
+    ``KeyError`` before any check runs.
+    """
     envelope = envelope or Envelope()
-    names = list(CHECKS) if checks is None else checks
-    for name in names:
-        if name not in CHECKS:
-            raise KeyError(f"unknown check {name!r}; known: {', '.join(CHECKS)}")
-    certs = []
-    for n, k in envelope.cells():
-        for name in names:
-            func, applies = CHECKS[name]
-            if applies(n, k):
-                certs.append(func(n, k))
-    return certs
+    selected = [_lookup(name) for name in (CHECKS if checks is None else checks)]
+    return (func(n, k) for n, k in envelope.cells() for func, applies in selected if applies(n, k))
 
 
 def summarize(certs: list[Certificate]) -> str:

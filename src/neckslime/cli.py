@@ -5,9 +5,13 @@ given the arguments (certificates carry wall-time in a metadata field, data
 payloads never do).  Output defaults to JSON; ``--format text`` switches to
 terse human-readable lines, and bijection tables additionally offer CSV.
 
-Exit codes: 0 success / verified; 1 verification failure or a mathematical
+``sweep`` streams its certificates: in JSON mode each line is printed and
+flushed as soon as its check has finished.
+
+Exit codes: 0 success / verified; 1 verification failure, a mathematical
 precondition violated (composite length where a prime is needed, migrating
-an invalid code, ...); 2 malformed usage or unparseable literals.
+an invalid code, ...) or a map file that cannot be read, parsed or holds a
+bad entry; 2 malformed command-line usage or unparseable code literals.
 """
 
 from __future__ import annotations
@@ -16,6 +20,7 @@ import argparse
 import csv
 import json
 import sys
+from typing import Iterable
 
 from .bijection import (
     load_riwi_map,
@@ -25,7 +30,7 @@ from .bijection import (
     sigma_with_constant,
     verify_riwi,
 )
-from .certify import CHECKS, run_cell, summarize
+from .certify import CHECKS, Certificate, Envelope, run_cell, run_sweep, summarize
 from .codes import Code, enumerate_codes, is_prime
 from .necklaces import canonicalize, code_to_word, count_necklaces, enumerate_necklaces, word_to_code
 from .slime import decompose, migrate_backward, migrate_forward, unit_migration, unit_migration_inverse
@@ -147,10 +152,9 @@ def _cmd_bijection(args: argparse.Namespace) -> int:
     n, k = args.n, args.k
     if args.map is not None:
         table = sigma_with_constant(n, k, load_riwi_map(args.map), args.chooser)
-    elif args.riwi == "slime":
-        table = sigma_with_constant(n, k, riwi_slime(n, k), args.chooser)
-    elif args.riwi == "rotation":
-        table = sigma_with_constant(n, k, riwi_rotation(n, k), args.chooser)
+    elif args.riwi is not None:
+        chi = riwi_slime(n, k) if args.riwi == "slime" else riwi_rotation(n, k)
+        table = sigma_with_constant(n, k, chi, args.chooser)
     elif not is_prime(n):
         raise ValueError(
             f"no built-in construction for composite length {n}; "
@@ -169,14 +173,30 @@ def _cmd_bijection(args: argparse.Namespace) -> int:
     return 0
 
 
+def _print_certificates(certs: Iterable[Certificate], fmt: str) -> int:
+    """JSON lines flushed as each certificate arrives, or the summary table at the end."""
+    done = []
+    for cert in certs:
+        done.append(cert)
+        if fmt == "json":
+            print(cert.to_json_line(), flush=True)
+    if fmt == "text":
+        print(summarize(done))
+    return 0 if all(c.passed for c in done) else 1
+
+
 def _cmd_verify(args: argparse.Namespace) -> int:
-    certs = run_cell(args.n, args.k, args.check)
-    if args.format == "json":
-        for cert in certs:
-            print(cert.to_json_line())
-    else:
-        print(summarize(certs))
-    return 0 if all(c.passed for c in certs) else 1
+    return _print_certificates(run_cell(args.n, args.k, args.check), args.format)
+
+
+def _cmd_sweep(args: argparse.Namespace) -> int:
+    envelope = Envelope(
+        n_max=args.n_max,
+        k_max=args.k_max,
+        prime_extra=tuple(args.primes),
+        max_codes=args.max_codes,
+    )
+    return _print_certificates(run_sweep(envelope, args.check), args.format)
 
 
 def _cmd_verify_riwi(args: argparse.Namespace) -> int:
@@ -290,6 +310,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--check", choices=("all", *CHECKS), default="all")
     _add_format(p)
     p.set_defaults(func=_cmd_verify)
+
+    p = sub.add_parser("sweep", help="run the certification checks over an envelope of cells")
+    p.add_argument("--n-max", type=int, default=8)
+    p.add_argument("--k-max", type=int, default=8)
+    p.add_argument("--primes", type=int, nargs="*", default=[11],
+                   help="extra prime lengths to sweep beyond n-max")
+    p.add_argument("--max-codes", type=int, default=500_000,
+                   help="skip any cell whose enumeration would exceed this")
+    p.add_argument("--check", action="append", choices=tuple(CHECKS), default=None, metavar="NAME",
+                   help="restrict to one check (repeatable)")
+    _add_format(p)
+    p.set_defaults(func=_cmd_sweep)
 
     p = sub.add_parser("verify-riwi", help="test a user-supplied map for the riwi properties")
     p.add_argument("--map", required=True, metavar="FILE")

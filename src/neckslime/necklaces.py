@@ -73,10 +73,10 @@ class Necklace:
 
     @property
     def word(self) -> str:
-        return code_to_word(Code(self.canonical))
+        return code_to_word(Code._trusted(self.canonical))
 
     def period(self) -> int:
-        return Code(self.canonical).period()
+        return Code._trusted(self.canonical).period()
 
     def to_json_dict(self) -> dict:
         return {"canonical": list(self.canonical), "word": self.word}

@@ -278,6 +278,17 @@ class TestCustomMaps:
         direct = sigma_with_constant(3, 3, riwi_slime(3, 3))
         assert direct.pairs == prime_bijection(3, 3).pairs
 
+    def test_constant_pair_only_when_zero_residue(self):
+        # (1,1,1,1) has weighted sum 2 mod 4, so it is no zero-residue code
+        identity = riwi_from_pairs(
+            (f, f) for f in enumerate_codes(4, 4, full_period_only=True)
+        )
+        codes = {c.entries for c, _ in sigma_with_constant(4, 4, identity).pairs}
+        assert (1, 1, 1, 1) not in codes
+        assert Code((1, 1, 1, 1)).weighted_sum() == 2
+        table = sigma_with_constant(3, 3, riwi_slime(3, 3))
+        assert (1, 1, 1) in {c.entries for c, _ in table.pairs}
+
 
 class TestTableSerialization:
     def test_json_schema(self):

@@ -186,12 +186,24 @@ class TestRunners:
         assert "prime-bijection" not in checks
 
     def test_small_sweep(self):
-        certs = run_sweep(Envelope(n_max=4, k_max=4, prime_extra=()))
+        certs = list(run_sweep(Envelope(n_max=4, k_max=4, prime_extra=())))
         assert certs and all(c.passed for c in certs)
 
     def test_sweep_unknown_check(self):
         with pytest.raises(KeyError):
             run_sweep(Envelope(n_max=2, k_max=2, prime_extra=()), checks=["nope"])
+
+    def test_sweep_is_lazy(self, monkeypatch):
+        calls = []
+        for name, (func, applies) in list(CHECKS.items()):
+            def counted(n, k, _name=name, _func=func):
+                calls.append(_name)
+                return _func(n, k)
+            monkeypatch.setitem(CHECKS, name, (counted, applies))
+        certs = run_sweep(Envelope(n_max=3, k_max=3, prime_extra=()))
+        assert calls == []
+        first = next(certs)
+        assert calls == [first.check]
 
     def test_registry_complete(self):
         assert set(CHECKS) == {

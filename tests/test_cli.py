@@ -1,8 +1,14 @@
 from __future__ import annotations
 
+import argparse
 import json
+import re
 import subprocess
 import sys
+from pathlib import Path
+
+from neckslime import Envelope, run_sweep
+from neckslime.cli import build_parser
 
 
 def run(*args: str) -> subprocess.CompletedProcess:
@@ -176,6 +182,45 @@ class TestVerifyCommands:
         assert p.returncode == 1 and json.loads(p.stdout)["passed"] is False
 
 
+class TestSweepCommand:
+    ARGS = ("sweep", "--n-max", "3", "--k-max", "3", "--primes", "--max-codes", "1000")
+
+    @staticmethod
+    def without_time(d: dict) -> dict:
+        return {key: v for key, v in d.items() if key != "elapsed_s"}
+
+    def test_json_lines_match_run_sweep(self):
+        p = run(*self.ARGS)
+        assert p.returncode == 0
+        got = [self.without_time(json.loads(line)) for line in p.stdout.splitlines()]
+        want = [self.without_time(c.to_json_dict()) for c in run_sweep(Envelope(3, 3, (), 1000))]
+        assert got == want
+        assert all(c["verdict"] == "pass" for c in got)
+
+    def test_text_summary(self):
+        p = run(*self.ARGS, "--format", "text")
+        assert p.returncode == 0
+        n = len(list(run_sweep(Envelope(3, 3, (), 1000))))
+        assert p.stdout.splitlines()[-1] == f"{n} checks, 0 failed"
+
+    def test_check_restricts(self):
+        p = run(*self.ARGS, "--check", "count-identity")
+        assert p.returncode == 0
+        assert {json.loads(line)["check"] for line in p.stdout.splitlines()} == {"count-identity"}
+
+    def test_unknown_check_is_two(self):
+        assert run("sweep", "--check", "nope").returncode == 2
+
+
+class TestReadme:
+    def test_every_command_documented(self):
+        readme = (Path(__file__).parent.parent / "README.md").read_text()
+        sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+        missing = [name for name in sub.choices
+                   if not re.search(rf"neckslime {re.escape(name)}(?![\w-])", readme)]
+        assert missing == []
+
+
 class TestExitCodes:
     def test_math_precondition_is_one(self):
         assert run("bijection", "6", "4").returncode == 1
@@ -201,6 +246,13 @@ class TestExitCodes:
         p = run("verify-riwi", "--map", str(path), "3", "3")
         assert p.returncode == 1 and p.stdout == ""
         assert "error: map file" in p.stderr and "bad entry" in p.stderr
+
+    def test_malformed_map_json_is_one(self, tmp_path):
+        path = tmp_path / "bad.json"
+        path.write_text("[1")
+        p = run("verify-riwi", "--map", str(path), "3", "3")
+        assert p.returncode == 1 and p.stdout == ""
+        assert f"error: map file {path}: not valid JSON" in p.stderr
 
     def test_error_messages_on_stderr(self):
         p = run("bijection", "6", "4")
