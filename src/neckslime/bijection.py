@@ -39,8 +39,8 @@ from math import gcd
 from pathlib import Path
 from typing import Callable, Iterable
 
-from .codes import Code, enumerate_codes, is_prime
-from .necklaces import Necklace, canonicalize
+from .codes import Code, enumerate_codes, is_prime, weighted_sum
+from .necklaces import Necklace, canonicalize, enumerate_necklaces
 from .slime import unit_migration, unit_migration_inverse
 
 
@@ -205,29 +205,35 @@ _CHOOSERS: dict[str, Callable] = {"lexmin": min, "lexmax": max}
 def build_sigma(n: int, k: int, chi: RiwiMap, chooser: str = "lexmin") -> BijectionTable:
     """The sigma construction over the full-period zero-residue codes.
 
-    Walks each neck-class once, anchoring at the member picked by
-    ``chooser``, and pairs stride rotations of the anchor with necklaces of
-    iterated chi images.  Pairs come out sorted by code, so equal inputs
-    give byte-equal tables.  Bijectivity is certified downstream, not here.
+    Walks the full-period necklaces whose weighted sum ws is 0 mod
+    g = gcd(n, k): exactly those have zero-residue rotations.  A left
+    rotation by s lowers ws by s * k, so those rotations start at
+    s0 = (ws / g) * (k / g)^(-1) mod q and step by q = n / g, and together
+    they are the necklace's neck-class.  Each class is anchored at the
+    member picked by ``chooser``, and stride rotations of the anchor pair
+    with necklaces of iterated chi images; the anchor's own image is the
+    necklace itself.  Pairs come out sorted by code, so equal inputs give
+    byte-equal tables.  Bijectivity is certified downstream, not here.
     """
     if chooser not in _CHOOSERS:
         raise ValueError(f"unknown representative chooser {chooser!r}")
     pick = _CHOOSERS[chooser]
-    q = n // gcd(n, k)
-    size = n // q
-    seen: set[Code] = set()
+    g = gcd(n, k)
+    q = n // g
+    step = pow(k // g, -1, q)
     pairs: list[tuple[Code, Necklace]] = []
-    for f in enumerate_codes(n, k, t=0, full_period_only=True):
-        if f in seen:
+    for neck in enumerate_necklaces(n, k, full_period_only=True):
+        e = neck.canonical
+        ws = weighted_sum(e)
+        if ws % g:
             continue
-        orbit = [f.rotate(i * q) for i in range(size)]
-        seen.update(orbit)
+        orbit = [Code._trusted(e[s:] + e[:s]) for s in range(ws // g * step % q, n, q)]
         rep = pick(orbit, key=lambda c: c.entries)
-        g = rep
-        for i in range(size):
-            if i:
-                g = chi.apply(g)
-            pairs.append((rep.rotate(i * q), canonicalize(g)))
+        pairs.append((rep, neck))
+        image = rep
+        for i in range(1, g):
+            image = chi.apply(image)
+            pairs.append((rep.rotate(i * q), canonicalize(image)))
     pairs.sort(key=lambda p: p[0].entries)
     return BijectionTable(n=n, k=k, riwi=chi.descriptor, chooser=chooser, pairs=tuple(pairs))
 

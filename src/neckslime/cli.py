@@ -12,6 +12,10 @@ Exit codes: 0 success / verified; 1 verification failure, a mathematical
 precondition violated (composite length where a prime is needed, migrating
 an invalid code, ...) or a map file that cannot be read, parsed or holds a
 bad entry; 2 malformed command-line usage or unparseable code literals.
+A reader that closes the pipe early (``neckslime sweep | head -1``) ends the
+command quietly with status 1: stdout is pointed at the null device so the
+shutdown flush cannot fail again, and nothing is printed on stderr (the
+idiom the Python ``signal`` documentation gives for SIGPIPE).
 """
 
 from __future__ import annotations
@@ -19,6 +23,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import os
 import sys
 from typing import Iterable
 
@@ -339,6 +344,11 @@ def main(argv: list[str] | None = None) -> int:
         return args.func(args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except BrokenPipeError:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
         return 1
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -15,6 +15,11 @@ which this module evaluates exactly (the division is checked to be exact).
 For odd n that count also equals the number of codes in the zero residue
 class, a coincidence the certification checks lean on; for even n the two
 counts genuinely differ.
+
+:func:`enumerate_necklaces` generates the necklaces themselves with the
+Fredricksen-Kessler-Maiorana prenecklace walk restricted to fixed content
+(Ruskey and Sawada treat the fixed-density case).  Its reference is a filter
+over all C(n+k-1, n-1) codes, ``filter_necklaces`` in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -22,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import comb, gcd
 
-from .codes import Code, divisors, enumerate_codes
+from .codes import Code, divisors
 
 
 class NecklaceCountError(ValueError):
@@ -57,8 +62,8 @@ def euler_phi(n: int) -> int:
 class Necklace:
     """A rotation class of bead strings, keyed by its canonical gap code.
 
-    Construct via :func:`canonicalize`; the constructor trusts its input to
-    already be the lex-min rotation.
+    Built by :func:`canonicalize` or :func:`enumerate_necklaces`; the
+    constructor trusts its input to already be the lex-min rotation.
     """
 
     canonical: tuple[int, ...]
@@ -124,12 +129,69 @@ def count_necklaces(n: int, k: int) -> int:
 def enumerate_necklaces(n: int, k: int, full_period_only: bool = False) -> list[Necklace]:
     """All necklaces with n black and k white beads, sorted by canonical gap code.
 
-    The reference implementation is the canonical-form filter over the full
-    code enumeration; any faster generator must agree with it pair for pair.
+    Generated directly, not filtered: an iterative Fredricksen-Kessler-Maiorana
+    walk over the prenecklace gap codes of content k, in lexicographic order.
+    Each entry satisfies a[t] >= a[t - p], p being the period of the prefix so
+    far; the content left caps each entry and the last entry takes all of it.
+    A prenecklace is a necklace exactly when p divides n, and has full period
+    when p == n.  Tests hold it to a filter over every code of the cell,
+    ``filter_necklaces`` in ``tests/oracles.py``.
+
+    Prefixes that cannot reach a necklace are cut early: every entry of a
+    non-constant necklace is at least z = a[0] and its last entry exceeds z,
+    so the content left must cover z for each entry still to place, plus
+    one.  The constant necklace, the lexicographically largest, is appended
+    on its own.
     """
-    out = []
-    for code in enumerate_codes(n, k, full_period_only=full_period_only):
-        e = code.entries
-        if all(e <= e[s:] + e[:s] for s in range(1, n)):
-            out.append(Necklace(canonical=e))
+    if n < 1 or k < 0:
+        raise ValueError(f"enumerate_necklaces: need n >= 1 and k >= 0, got ({n}, {k})")
+    out = _generate(n, k, full_period_only) if n > 1 and k > 0 else []
+    if k % n == 0 and (n == 1 or not full_period_only):
+        out.append(Necklace(canonical=(k // n,) * n))
     return out
+
+
+def _generate(n: int, k: int, full_period_only: bool) -> list[Necklace]:
+    """The non-constant necklaces of length n >= 2 and content k >= 1, in order.
+
+    Depth t holds the prefix a[0..t] with its period ``per[t]`` and the
+    content ``left[t]`` not yet placed.  The walk stops at depth n - 2,
+    where the last entry is forced.
+    """
+    out: list[Necklace] = []
+    a = [0] * n
+    per = [1] * n
+    left = [k] * n
+    last = n - 1
+    t = 0
+    while True:
+        if t < last - 1:
+            p = per[t]
+            v = a[t + 1 - p]
+            if left[t] - v > (last - t - 1) * a[0]:
+                t += 1
+                a[t] = v
+                per[t] = p
+                left[t] = left[t - 1] - v
+                continue
+            # the least child is out of reach, so every child is: move on from depth t
+        else:
+            v = left[t]
+            p = per[t]
+            u = a[last - p]
+            if v >= u:
+                if v > u:
+                    p = n
+                if p == n or (not full_period_only and n % p == 0):
+                    a[last] = v
+                    out.append(Necklace(canonical=tuple(a)))
+        # next prefix in lexicographic order: raise the deepest entry that can rise
+        while True:
+            a[t] += 1
+            left[t] -= 1
+            per[t] = t + 1
+            if left[t] > (last - t) * a[0]:
+                break
+            if t == 0:
+                return out
+            t -= 1

@@ -1,10 +1,11 @@
 """Independent brute-force reference implementations, used only by tests.
 
 Everything here is written the dumbest possible way, sharing no code with
-the package: codes come from a product grid, necklaces from canonical
-rotations of literal bead strings, slimes from scanning every start and
-migrations from each slime's value pattern.  Slow is fine; the enumerating
-ones cap out around n + k of a dozen.
+the package: codes come from a product grid or from bar positions,
+necklaces from canonical rotations of literal bead strings or of every
+composition, slimes from scanning every start and migrations from each
+slime's value pattern.  Slow is fine; the enumerating ones cap out around
+n + k of a dozen (n + k of twenty for the bar positions).
 """
 
 from __future__ import annotations
@@ -16,6 +17,25 @@ import math
 def grid_codes(n: int, k: int) -> list[tuple[int, ...]]:
     """All length-n tuples of nonnegative ints summing to k, by grid filtering."""
     return [c for c in itertools.product(range(k + 1), repeat=n) if sum(c) == k]
+
+
+def stars_and_bars(n: int, k: int) -> list[tuple[int, ...]]:
+    """All length-n tuples of nonnegative ints summing to k, one per choice of
+    n - 1 bar positions among n + k - 1 slots; unlike the grid this reaches n = 11."""
+    out = []
+    for bars in itertools.combinations(range(n + k - 1), n - 1):
+        edges = (-1,) + bars + (n + k - 1,)
+        out.append(tuple(edges[i + 1] - edges[i] - 1 for i in range(n)))
+    return out
+
+
+def filter_necklaces(n: int, k: int, full_period_only: bool = False) -> list[tuple[int, ...]]:
+    """Canonical gap codes of the (n, k) necklaces, sorted: every composition
+    that is its own least rotation, of period n only when asked."""
+    return sorted(
+        c for c in stars_and_bars(n, k)
+        if c == min_rotation(c) and (not full_period_only or tuple_period(c) == n)
+    )
 
 
 def weighted_sum(entries: tuple[int, ...]) -> int:

@@ -7,6 +7,7 @@ import pytest
 
 from neckslime import (
     Code,
+    RiwiMap,
     build_sigma,
     canonicalize,
     count_necklaces,
@@ -128,6 +129,28 @@ class TestVerifyRiwi:
         json.dumps(d)
 
 
+IDENTITY = RiwiMap(descriptor="custom:identity", apply=lambda c: c, invert=lambda c: c)
+# not rotation invariant, so each class's pairs depend on the representative chosen
+MIRROR = RiwiMap(descriptor="custom:mirror", apply=lambda c: Code(c.entries[::-1]),
+                 invert=lambda c: Code(c.entries[::-1]))
+
+
+def _brute_sigma(n, k, chi, chooser):
+    """The sigma pairs from the zero-residue codes themselves: group each code's
+    stride-q rotations, pick the representative, walk chi from it."""
+    pick = min if chooser == "lexmin" else max
+    size = gcd(n, k)
+    q = n // size
+    pairs = {}
+    for f in enumerate_codes(n, k, t=0, full_period_only=True):
+        rep = pick((f.rotate(i * q) for i in range(size)), key=lambda c: c.entries)
+        image = rep
+        for i in range(size):
+            pairs[rep.rotate(i * q)] = canonicalize(image)
+            image = chi.apply(image)
+    return sorted(pairs.items(), key=lambda p: p[0].entries)
+
+
 class TestBuildSigma:
     def test_worked_class(self):
         table = build_sigma(3, 3, riwi_slime(3, 3))
@@ -155,6 +178,14 @@ class TestBuildSigma:
         necks = [m for _, m in table.pairs]
         assert len(set(necks)) == len(necks) == 200
         assert set(necks) == set(enumerate_necklaces(5, 10, full_period_only=True))
+
+    @pytest.mark.parametrize("n,k", [(6, 4), (8, 6), (6, 9)])
+    @pytest.mark.parametrize("chooser", ["lexmin", "lexmax"])
+    @pytest.mark.parametrize("chi", [IDENTITY, MIRROR], ids=lambda chi: chi.descriptor)
+    def test_composite_neck_classes_match_brute_force(self, n, k, chooser, chi):
+        # g > 1 and k / g != 1 here, so a wrong start rotation for the classes shows
+        assert gcd(n, k) > 1 and k // gcd(n, k) != 1
+        assert list(build_sigma(n, k, chi, chooser).pairs) == _brute_sigma(n, k, chi, chooser)
 
     def test_unknown_chooser(self):
         with pytest.raises(ValueError):

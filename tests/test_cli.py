@@ -257,3 +257,12 @@ class TestExitCodes:
     def test_error_messages_on_stderr(self):
         p = run("bijection", "6", "4")
         assert p.stdout == "" and "riwi map" in p.stderr
+
+    def test_closed_pipe_is_quiet_one(self):
+        argv = [sys.executable, "-m", "neckslime", "enum", "codes", "12", "8"]
+        with subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True) as p:
+            assert json.loads(p.stdout.readline())["entries"] == [0] * 11 + [8]
+            p.stdout.close()
+            err = p.stderr.read()
+            assert p.wait(timeout=60) == 1
+        assert err == ""

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import sys
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -16,7 +18,7 @@ from neckslime import (
     word_to_code,
 )
 
-from oracles import bead_classes, min_rotation, necklace_count, string_period
+from oracles import bead_classes, filter_necklaces, min_rotation, necklace_count, string_period, tuple_period
 
 codes = st.lists(st.integers(0, 6), min_size=1, max_size=7).map(lambda e: Code(tuple(e)))
 
@@ -156,6 +158,36 @@ class TestEnumerate:
             for k in range(7):
                 zero_class = sum(1 for _ in enumerate_codes(n, k, t=0))
                 assert zero_class == count_necklaces(n, k)
+
+    @pytest.mark.parametrize("full_period_only", [False, True])
+    def test_matches_filter_oracle(self, full_period_only):
+        cells = [(n, k) for n in range(1, 9) for k in range(9)] + [(11, k) for k in range(9)]
+        for n, k in cells:
+            got = [neck.canonical for neck in enumerate_necklaces(n, k, full_period_only)]
+            assert got == filter_necklaces(n, k, full_period_only), (n, k)
+
+    @given(st.integers(9, 40), st.integers(0, 4))
+    def test_beyond_envelope(self, n, k):
+        necks = [neck.canonical for neck in enumerate_necklaces(n, k)]
+        assert all(a < b for a, b in zip(necks, necks[1:]))
+        assert all(e == min_rotation(e) for e in necks)
+        assert len(necks) == count_necklaces(n, k)
+        full = [neck.canonical for neck in enumerate_necklaces(n, k, full_period_only=True)]
+        assert full == [e for e in necks if tuple_period(e) == n]
+
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_deeper_than_recursion_limit(self, k):
+        n = 1100
+        assert n > sys.getrecursionlimit()
+        necks = enumerate_necklaces(n, k)
+        assert len(necks) == count_necklaces(n, k)
+        assert all(neck.n == n and neck.k == k for neck in necks)
+
+    def test_bad_args(self):
+        with pytest.raises(ValueError, match="enumerate_necklaces"):
+            enumerate_necklaces(0, 3)
+        with pytest.raises(ValueError, match="enumerate_necklaces"):
+            enumerate_necklaces(3, -1)
 
     def test_json_shape(self):
         neck = canonicalize(Code((3, 0, 0)))
