@@ -212,6 +212,69 @@ class TestSweepCommand:
         assert run("sweep", "--check", "nope").returncode == 2
 
 
+def parser_snapshot(parser: argparse.ArgumentParser, path: str = "") -> dict:
+    """Every subcommand's arguments: positionals in order, then options by dest."""
+    args, children = [], {}
+    for a in parser._actions:
+        if isinstance(a, argparse._HelpAction):
+            continue
+        if isinstance(a, argparse._SubParsersAction):
+            args.append((a.dest, (), None, tuple(a.choices), None, None, a.required))
+            for name, child in a.choices.items():
+                children.update(parser_snapshot(child, f"{path} {name}".strip()))
+            continue
+        choices = None if a.choices is None else tuple(a.choices)
+        args.append((a.dest, tuple(a.option_strings), a.default, choices, a.nargs,
+                     getattr(a.type, "__name__", None), a.required))
+    args.sort(key=lambda t: (bool(t[1]), t[0] if t[1] else ""))
+    return {path: args, **children}
+
+
+class TestParserSnapshot:
+    # (dest, option strings, default, choices, nargs, type name, required)
+    CODE = ("code", (), None, None, None, "parse", True)
+    FORMAT = ("format", ("--format",), "json", ("json", "text"), None, None, False)
+    N = ("n", (), None, None, None, "_positive", True)
+    K = ("k", (), None, None, None, "_nonneg", True)
+    NAMES = ("invalid-constant", "migration-laws", "count-identity",
+             "riwi-slime", "riwi-rotation", "prime-bijection")
+    FULL_PERIOD = ("full_period", ("--full-period",), False, None, 0, None, False)
+
+    def test_every_argument(self):
+        code, fmt, n, k = self.CODE, self.FORMAT, self.N, self.K
+        want = {
+            "": [("command", (), None, ("slimes", "migrate", "phi", "ws", "rotate", "period", "canon",
+                                        "word", "unword", "enum", "count", "bijection", "verify",
+                                        "sweep", "verify-riwi"), None, None, True)],
+            "slimes": [code, fmt],
+            "migrate": [code, ("backward", ("--backward",), False, None, 0, None, False), fmt,
+                        ("steps", ("--steps",), 1, None, None, "_nonneg", False)],
+            "phi": [code, fmt, ("inverse", ("--inverse",), False, None, 0, None, False)],
+            "ws": [code, fmt],
+            "rotate": [code, fmt, ("steps", ("--steps",), 1, None, None, "int", False)],
+            "period": [code, fmt],
+            "canon": [code, fmt],
+            "word": [code, fmt],
+            "unword": [("word", (), None, None, None, None, True), fmt],
+            "enum": [("what", (), None, ("codes", "necklaces"), None, None, True)],
+            "enum codes": [n, k, fmt, self.FULL_PERIOD, ("t", ("--t",), None, None, None, "int", False)],
+            "enum necklaces": [n, k, fmt, self.FULL_PERIOD],
+            "count": [n, k, fmt],
+            "bijection": [n, k, ("chooser", ("--chooser",), "lexmin", ("lexmin", "lexmax"), None, None, False),
+                          ("format", ("--format",), "json", ("json", "csv", "text"), None, None, False),
+                          ("map", ("--map",), None, None, None, None, False),
+                          ("riwi", ("--riwi",), None, ("slime", "rotation"), None, None, False)],
+            "verify": [n, k, ("check", ("--check",), "all", ("all", *self.NAMES), None, None, False), fmt],
+            "sweep": [("check", ("--check",), None, self.NAMES, None, None, False), fmt,
+                      ("k_max", ("--k-max",), 8, None, None, "int", False),
+                      ("max_codes", ("--max-codes",), 500_000, None, None, "int", False),
+                      ("n_max", ("--n-max",), 8, None, None, "int", False),
+                      ("primes", ("--primes",), [11], None, "*", "int", False)],
+            "verify-riwi": [n, k, fmt, ("map", ("--map",), None, None, None, None, True)],
+        }
+        assert parser_snapshot(build_parser()) == want
+
+
 class TestReadme:
     def test_every_command_documented(self):
         readme = (Path(__file__).parent.parent / "README.md").read_text()
