@@ -43,6 +43,9 @@ from .codes import Code, enumerate_codes, is_prime, weighted_sum
 from .necklaces import Necklace, canonicalize, enumerate_necklaces
 from .slime import unit_migration, unit_migration_inverse
 
+# counterexample strings kept per verification; failure counts stay exact
+DETAIL_CAP = 10
+
 
 @dataclass(frozen=True, slots=True)
 class NeckClass:
@@ -165,7 +168,7 @@ def load_riwi_map(path: str | Path) -> RiwiMap:
     for item in data:
         try:
             pairs.append((Code(tuple(item["from"])), Code(tuple(item["to"]))))
-        except (KeyError, TypeError) as exc:
+        except (KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"map file {path}: bad entry {item!r}") from exc
     return riwi_from_pairs(pairs, name=path.stem)
 
@@ -295,27 +298,13 @@ def sigma_with_constant(n: int, k: int, chi: RiwiMap, chooser: str = "lexmin") -
 class RiwiReport:
     """Outcome of exhaustively testing the riwi properties on one (n, k) cell."""
 
-    n: int
-    k: int
-    descriptor: str
     checked: int
-    passed: bool
     failure_count: int
     failures: tuple[str, ...]
 
-    def to_json_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "k": self.k,
-            "riwi": self.descriptor,
-            "checked": self.checked,
-            "passed": self.passed,
-            "failure_count": self.failure_count,
-            "failures": list(self.failures),
-        }
-
-
-_FAILURE_CAP = 10
+    @property
+    def passed(self) -> bool:
+        return self.failure_count == 0
 
 
 def verify_riwi(chi: RiwiMap, n: int, k: int) -> RiwiReport:
@@ -334,7 +323,7 @@ def verify_riwi(chi: RiwiMap, n: int, k: int) -> RiwiReport:
     def note(msg: str) -> None:
         nonlocal failure_count
         failure_count += 1
-        if len(failures) < _FAILURE_CAP:
+        if len(failures) < DETAIL_CAP:
             failures.append(msg)
 
     image: dict[Code, Code] = {}
@@ -366,12 +355,4 @@ def verify_riwi(chi: RiwiMap, n: int, k: int) -> RiwiReport:
             "image does not cover the full-period codes: missing "
             f"{[str(c) for c in missing]}, foreign {[str(c) for c in extra]}"
         )
-    return RiwiReport(
-        n=n,
-        k=k,
-        descriptor=chi.descriptor,
-        checked=len(domain),
-        passed=failure_count == 0,
-        failure_count=failure_count,
-        failures=tuple(failures),
-    )
+    return RiwiReport(checked=len(domain), failure_count=failure_count, failures=tuple(failures))

@@ -5,8 +5,11 @@ given the arguments (certificates carry wall-time in a metadata field, data
 payloads never do).  Output defaults to JSON; ``--format text`` switches to
 terse human-readable lines, and bijection tables additionally offer CSV.
 
-``sweep`` streams its certificates: in JSON mode each line is printed and
-flushed as soon as its check has finished.
+``verify``, ``sweep`` and ``verify-riwi`` print certificates the same way:
+in JSON mode one line per certificate (``sweep`` prints and flushes each as
+soon as its check has finished); in text mode the summary table, then each
+counterexample of a failed certificate.  ``bijection`` takes a
+built-in riwi map (``--riwi``) or a map file (``--map``), not both.
 
 Exit codes: 0 success / verified; 1 verification failure, a mathematical
 precondition violated (composite length where a prime is needed, migrating
@@ -27,15 +30,8 @@ import os
 import sys
 from typing import Iterable
 
-from .bijection import (
-    load_riwi_map,
-    prime_bijection,
-    riwi_rotation,
-    riwi_slime,
-    sigma_with_constant,
-    verify_riwi,
-)
-from .certify import CHECKS, Certificate, Envelope, run_cell, run_sweep, summarize
+from .bijection import load_riwi_map, prime_bijection, riwi_rotation, riwi_slime, sigma_with_constant
+from .certify import CHECKS, Certificate, Envelope, check_riwi, run_cell, run_sweep, summarize
 from .codes import Code, enumerate_codes, is_prime
 from .necklaces import canonicalize, code_to_word, count_necklaces, enumerate_necklaces, word_to_code
 from .slime import decompose, migrate_backward, migrate_forward, unit_migration, unit_migration_inverse
@@ -205,19 +201,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify_riwi(args: argparse.Namespace) -> int:
-    report = verify_riwi(load_riwi_map(args.map), args.n, args.k)
-    if args.format == "json":
-        print(json.dumps(report.to_json_dict()))
-    else:
-        verdict = "pass" if report.passed else "fail"
-        print(f"{verdict} checked={report.checked} failures={report.failure_count}")
-        for detail in report.failures:
-            print(f"  {detail}")
-    return 0 if report.passed else 1
-
-
-def _add_format(parser: argparse.ArgumentParser, choices: tuple[str, ...] = ("json", "text")) -> None:
-    parser.add_argument("--format", choices=choices, default="json", help="output format")
+    return _print_certificates([check_riwi("riwi-map", load_riwi_map(args.map), args.n, args.k)], args.format)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -226,97 +210,74 @@ def build_parser() -> argparse.ArgumentParser:
         description="Cyclic integer codes, slime migration, and necklace bijections.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    fmt = argparse.ArgumentParser(add_help=False)
+    fmt.add_argument("--format", choices=("json", "text"), default="json", help="output format")
+    code = argparse.ArgumentParser(add_help=False)
+    code.add_argument("code", type=Code.parse)
+    cell = argparse.ArgumentParser(add_help=False)
+    cell.add_argument("n", type=_positive)
+    cell.add_argument("k", type=_nonneg)
 
-    p = sub.add_parser("slimes", help="decompose a code into slimes")
-    p.add_argument("code", type=Code.parse)
-    _add_format(p)
+    p = sub.add_parser("slimes", parents=[code, fmt], help="decompose a code into slimes")
     p.set_defaults(func=_cmd_slimes)
 
-    p = sub.add_parser("migrate", help="apply forward or backward migrations")
+    p = sub.add_parser("migrate", parents=[code, fmt], help="apply forward or backward migrations")
     p.add_argument("--backward", action="store_true")
     p.add_argument("--steps", type=_nonneg, default=1)
-    p.add_argument("code", type=Code.parse)
-    _add_format(p)
     p.set_defaults(func=_cmd_migrate)
 
-    p = sub.add_parser("phi", help="unit migration: shift the weighted sum by +1")
+    p = sub.add_parser("phi", parents=[code, fmt], help="unit migration: shift the weighted sum by +1")
     p.add_argument("--inverse", action="store_true")
-    p.add_argument("code", type=Code.parse)
-    _add_format(p)
     p.set_defaults(func=_cmd_phi)
 
-    p = sub.add_parser("ws", help="weighted-sum residue of a code")
-    p.add_argument("code", type=Code.parse)
-    _add_format(p)
+    p = sub.add_parser("ws", parents=[code, fmt], help="weighted-sum residue of a code")
     p.set_defaults(func=_cmd_ws)
 
-    p = sub.add_parser("rotate", help="rotate a code left by a step count")
+    p = sub.add_parser("rotate", parents=[code, fmt], help="rotate a code left by a step count")
     p.add_argument("--steps", type=int, default=1)
-    p.add_argument("code", type=Code.parse)
-    _add_format(p)
     p.set_defaults(func=_cmd_rotate)
 
-    p = sub.add_parser("period", help="smallest repetition period of a code")
-    p.add_argument("code", type=Code.parse)
-    _add_format(p)
+    p = sub.add_parser("period", parents=[code, fmt], help="smallest repetition period of a code")
     p.set_defaults(func=_cmd_period)
 
-    p = sub.add_parser("canon", help="canonical necklace of a code")
-    p.add_argument("code", type=Code.parse)
-    _add_format(p)
+    p = sub.add_parser("canon", parents=[code, fmt], help="canonical necklace of a code")
     p.set_defaults(func=_cmd_canon)
 
-    p = sub.add_parser("word", help="bead word of a code")
-    p.add_argument("code", type=Code.parse)
-    _add_format(p)
+    p = sub.add_parser("word", parents=[code, fmt], help="bead word of a code")
     p.set_defaults(func=_cmd_word)
 
-    p = sub.add_parser("unword", help="gap code of a bead word")
+    p = sub.add_parser("unword", parents=[fmt], help="gap code of a bead word")
     p.add_argument("word")
-    _add_format(p)
     p.set_defaults(func=_cmd_unword)
 
     p = sub.add_parser("enum", help="enumerate codes or necklaces")
     enum_sub = p.add_subparsers(dest="what", required=True)
 
-    q = enum_sub.add_parser("codes", help="codes of given length and content")
-    q.add_argument("n", type=_positive)
-    q.add_argument("k", type=_nonneg)
+    q = enum_sub.add_parser("codes", parents=[cell, fmt], help="codes of given length and content")
     q.add_argument("--t", type=int, default=None, help="restrict to one weighted-sum residue")
     q.add_argument("--full-period", action="store_true")
-    _add_format(q)
     q.set_defaults(func=_cmd_enum_codes)
 
-    q = enum_sub.add_parser("necklaces", help="necklaces of given bead counts")
-    q.add_argument("n", type=_positive)
-    q.add_argument("k", type=_nonneg)
+    q = enum_sub.add_parser("necklaces", parents=[cell, fmt], help="necklaces of given bead counts")
     q.add_argument("--full-period", action="store_true")
-    _add_format(q)
     q.set_defaults(func=_cmd_enum_necklaces)
 
-    p = sub.add_parser("count", help="necklace count: closed formula vs enumeration")
-    p.add_argument("n", type=_positive)
-    p.add_argument("k", type=_nonneg)
-    _add_format(p)
+    p = sub.add_parser("count", parents=[cell, fmt], help="necklace count: closed formula vs enumeration")
     p.set_defaults(func=_cmd_count)
 
-    p = sub.add_parser("bijection", help="emit a code-to-necklace table")
-    p.add_argument("n", type=_positive)
-    p.add_argument("k", type=_nonneg)
-    p.add_argument("--riwi", choices=("slime", "rotation"), default=None)
-    p.add_argument("--map", default=None, metavar="FILE", help="custom riwi map (JSON pairs)")
+    p = sub.add_parser("bijection", parents=[cell], help="emit a code-to-necklace table")
+    riwi = p.add_mutually_exclusive_group()
+    riwi.add_argument("--riwi", choices=("slime", "rotation"), default=None)
+    riwi.add_argument("--map", default=None, metavar="FILE", help="custom riwi map (JSON pairs)")
     p.add_argument("--chooser", choices=("lexmin", "lexmax"), default="lexmin")
-    _add_format(p, ("json", "csv", "text"))
+    p.add_argument("--format", choices=("json", "csv", "text"), default="json", help="output format")
     p.set_defaults(func=_cmd_bijection)
 
-    p = sub.add_parser("verify", help="run certification checks at one (n, k) cell")
-    p.add_argument("n", type=_positive)
-    p.add_argument("k", type=_nonneg)
+    p = sub.add_parser("verify", parents=[cell, fmt], help="run certification checks at one (n, k) cell")
     p.add_argument("--check", choices=("all", *CHECKS), default="all")
-    _add_format(p)
     p.set_defaults(func=_cmd_verify)
 
-    p = sub.add_parser("sweep", help="run the certification checks over an envelope of cells")
+    p = sub.add_parser("sweep", parents=[fmt], help="run the certification checks over an envelope of cells")
     p.add_argument("--n-max", type=int, default=8)
     p.add_argument("--k-max", type=int, default=8)
     p.add_argument("--primes", type=int, nargs="*", default=[11],
@@ -325,14 +286,11 @@ def build_parser() -> argparse.ArgumentParser:
                    help="skip any cell whose enumeration would exceed this")
     p.add_argument("--check", action="append", choices=tuple(CHECKS), default=None, metavar="NAME",
                    help="restrict to one check (repeatable)")
-    _add_format(p)
     p.set_defaults(func=_cmd_sweep)
 
-    p = sub.add_parser("verify-riwi", help="test a user-supplied map for the riwi properties")
+    p = sub.add_parser("verify-riwi", parents=[cell, fmt],
+                       help="test a user-supplied map for the riwi properties")
     p.add_argument("--map", required=True, metavar="FILE")
-    p.add_argument("n", type=_positive)
-    p.add_argument("k", type=_nonneg)
-    _add_format(p)
     p.set_defaults(func=_cmd_verify_riwi)
 
     return parser

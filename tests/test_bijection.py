@@ -22,6 +22,7 @@ from neckslime import (
     sigma_with_constant,
     verify_riwi,
 )
+from neckslime.certify import check_riwi
 
 
 class TestNeckClass:
@@ -124,8 +125,10 @@ class TestVerifyRiwi:
         assert report.passed and report.checked == 0
 
     def test_report_json_shape(self):
-        d = verify_riwi(riwi_slime(3, 3), 3, 3).to_json_dict()
-        assert list(d) == ["n", "k", "riwi", "checked", "passed", "failure_count", "failures"]
+        d = check_riwi("riwi-slime", riwi_slime(3, 3), 3, 3).to_json_dict()
+        assert list(d) == ["check", "n", "k", "verdict", "counterexamples",
+                           "failure_count", "examined", "elapsed_s", "info"]
+        assert d["info"] == {"riwi": "slime"}
         json.dumps(d)
 
 

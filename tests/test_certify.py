@@ -5,7 +5,17 @@ from math import comb
 
 import pytest
 
-from neckslime import CHECKS, Certificate, Envelope, run_cell, run_sweep, summarize
+from neckslime import (
+    CHECKS,
+    Certificate,
+    Envelope,
+    RiwiMap,
+    build_sigma,
+    riwi_rotation,
+    run_cell,
+    run_sweep,
+    summarize,
+)
 from neckslime.certify import (
     check_count_identity,
     check_invalid_iff_constant,
@@ -109,10 +119,14 @@ class TestPrimeBijectionCheck:
         assert check_prime_bijection(2, 6).info["pairs"] == 4
         assert check_prime_bijection(5, 10).info["pairs"] == 201
 
-    def test_variant_agreement_reported_when_coprime(self):
-        cert = check_prime_bijection(3, 7)
-        assert cert.passed
-        assert cert.info["riwi_variants_agree"] is True
+    def test_coprime_table_never_applies_chi(self):
+        # gcd(n, k) = 1: every neck-class has one member, so any riwi map gives the same table
+        def refuse(code):
+            raise AssertionError(f"chi applied to {code}")
+
+        refusing = RiwiMap(descriptor="refusing", apply=refuse, invert=refuse)
+        assert build_sigma(3, 7, refusing).pairs == build_sigma(3, 7, riwi_rotation(3, 7)).pairs
+        assert check_prime_bijection(3, 7).passed
 
     def test_composite_rejected(self):
         with pytest.raises(ValueError):

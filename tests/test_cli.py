@@ -7,7 +7,9 @@ import subprocess
 import sys
 from pathlib import Path
 
-from neckslime import Envelope, run_sweep
+import neckslime
+from neckslime import Envelope, load_riwi_map, run_sweep
+from neckslime.certify import check_riwi
 from neckslime.cli import build_parser
 
 
@@ -17,6 +19,13 @@ def run(*args: str) -> subprocess.CompletedProcess:
         capture_output=True,
         text=True,
     )
+
+
+def write_map(path: Path, image, n: int, k: int) -> Path:
+    rows = [{"from": list(f.entries), "to": list(image(f).entries)}
+            for f in neckslime.enumerate_codes(n, k, full_period_only=True)]
+    path.write_text(json.dumps(rows))
+    return path
 
 
 class TestCodeCommands:
@@ -177,9 +186,29 @@ class TestVerifyCommands:
         bad_path.write_text(json.dumps(bad_rows))
 
         p = run("verify-riwi", "--map", str(good_path), "3", "3")
-        assert p.returncode == 0 and json.loads(p.stdout)["passed"] is True
+        assert p.returncode == 0 and json.loads(p.stdout)["verdict"] == "pass"
         p = run("verify-riwi", "--map", str(bad_path), "3", "3")
-        assert p.returncode == 1 and json.loads(p.stdout)["passed"] is False
+        assert p.returncode == 1 and json.loads(p.stdout)["verdict"] == "fail"
+
+    def test_verify_riwi_certificate(self, tmp_path):
+        path = write_map(tmp_path / "slime.json", neckslime.riwi_slime(3, 3).apply, 3, 3)
+        p = run("verify-riwi", "--map", str(path), "3", "3")
+        assert p.returncode == 0 and len(p.stdout.splitlines()) == 1
+        got = json.loads(p.stdout)
+        want = check_riwi("riwi-map", load_riwi_map(path), 3, 3).to_json_dict()
+        assert list(got) == list(want)
+        assert {**got, "elapsed_s": 0} == {**want, "elapsed_s": 0}
+        assert got["check"] == "riwi-map" and got["examined"] == 9
+        assert got["info"] == {"riwi": "custom:slime"}
+
+    def test_verify_riwi_text_lists_counterexamples(self, tmp_path):
+        path = write_map(tmp_path / "identity.json", lambda f: f, 3, 3)
+        p = run("verify-riwi", "--map", str(path), "3", "3", "--format", "text")
+        assert p.returncode == 1
+        details = check_riwi("riwi-map", load_riwi_map(path), 3, 3).counterexamples
+        lines = p.stdout.splitlines()
+        assert len(details) == 9 and lines[-1] == "1 checks, 1 failed"
+        assert lines[2:-1] == [f"  riwi-map (3, 3): {d}" for d in details]
 
 
 class TestSweepCommand:
@@ -299,6 +328,7 @@ class TestExitCodes:
         assert run("ws", "--", "-1,2").returncode == 2
         assert run("verify", "3", "3", "--check", "nope").returncode == 2
         assert run("bijection", "3").returncode == 2
+        assert run("bijection", "3", "3", "--riwi", "slime", "--map", "m.json").returncode == 2
 
     def test_missing_map_file_is_one(self):
         assert run("verify-riwi", "--map", "/nonexistent.json", "3", "3").returncode == 1
@@ -309,6 +339,14 @@ class TestExitCodes:
         p = run("verify-riwi", "--map", str(path), "3", "3")
         assert p.returncode == 1 and p.stdout == ""
         assert "error: map file" in p.stderr and "bad entry" in p.stderr
+
+    def test_bad_map_values_name_the_file(self, tmp_path):
+        path = tmp_path / "values.json"
+        for entry in ([-1, 2, 2], []):
+            path.write_text(json.dumps([{"from": entry, "to": [1, 0, 2]}]))
+            p = run("verify-riwi", "--map", str(path), "3", "3")
+            assert p.returncode == 1 and p.stdout == ""
+            assert "error: map file" in p.stderr and "bad entry" in p.stderr
 
     def test_malformed_map_json_is_one(self, tmp_path):
         path = tmp_path / "bad.json"
