@@ -20,8 +20,10 @@ from neckslime import (
     riwi_rotation,
     riwi_slime,
     sigma_with_constant,
+    unit_migration,
     verify_riwi,
 )
+from neckslime.bijection import DETAIL_CAP
 from neckslime.certify import check_riwi
 
 
@@ -131,6 +133,110 @@ class TestVerifyRiwi:
         assert d["info"] == {"riwi": "slime"}
         json.dumps(d)
 
+
+
+def _file_map(tmp_path, name, pairs):
+    """A custom riwi map loaded from a map file listing ``pairs`` of entry tuples."""
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps([{"from": list(a), "to": list(b)} for a, b in pairs]))
+    return load_riwi_map(path)
+
+
+def _slime_3_3():
+    """The unit step on each full-period (3, 3)-code, as entry tuples in domain order."""
+    return {f.entries: unit_migration(f).entries for f in enumerate_codes(3, 3, full_period_only=True)}
+
+
+class TestVerifyRiwiMessages:
+    """Every counterexample kind, pinned verbatim on small crafted maps."""
+
+    @staticmethod
+    def outcome(chi, n=3, k=3):
+        report = verify_riwi(chi, n, k)
+        return report.checked, report.failure_count, list(report.failures)
+
+    def test_apply_failed(self, tmp_path):
+        pairs = list(_slime_3_3().items())[:4]
+        assert self.outcome(_file_map(tmp_path, "partial", pairs)) == (9, 6, [
+            "apply failed on 1,0,2: custom map does not cover 1,0,2",
+            "apply failed on 1,2,0: custom map does not cover 1,2,0",
+            "apply failed on 2,0,1: custom map does not cover 2,0,1",
+            "apply failed on 2,1,0: custom map does not cover 2,1,0",
+            "apply failed on 3,0,0: custom map does not cover 3,0,0",
+            "image does not cover the full-period codes: missing ['0,3,0', '1,2,0', '2,0,1'], foreign []",
+        ])
+
+    def test_weighted_sum_not_raised(self, tmp_path):
+        chi = _file_map(tmp_path, "identity", [(e, e) for e in _slime_3_3()])
+        assert self.outcome(chi) == (9, 9, [
+            "weighted sum not raised by 1: 0,0,3 (ws 0) -> 0,0,3 (ws 0)",
+            "weighted sum not raised by 1: 0,1,2 (ws 2) -> 0,1,2 (ws 2)",
+            "weighted sum not raised by 1: 0,2,1 (ws 1) -> 0,2,1 (ws 1)",
+            "weighted sum not raised by 1: 0,3,0 (ws 0) -> 0,3,0 (ws 0)",
+            "weighted sum not raised by 1: 1,0,2 (ws 1) -> 1,0,2 (ws 1)",
+            "weighted sum not raised by 1: 1,2,0 (ws 2) -> 1,2,0 (ws 2)",
+            "weighted sum not raised by 1: 2,0,1 (ws 2) -> 2,0,1 (ws 2)",
+            "weighted sum not raised by 1: 2,1,0 (ws 1) -> 2,1,0 (ws 1)",
+            "weighted sum not raised by 1: 3,0,0 (ws 0) -> 3,0,0 (ws 0)",
+        ])
+
+    def test_invert_failed(self, tmp_path):
+        def refuse(image):
+            raise ValueError("no inverse")
+
+        forward = _file_map(tmp_path, "slime", _slime_3_3().items())
+        chi = RiwiMap(descriptor="custom:one-way", apply=forward.apply, invert=refuse)
+        assert self.outcome(chi) == (9, 9, [
+            f"invert failed on {g}: no inverse"
+            for g in ("1,0,2", "0,0,3", "0,1,2", "0,2,1", "2,0,1", "0,3,0", "3,0,0", "1,2,0", "2,1,0")
+        ])
+
+    def test_round_trip_broken(self, tmp_path):
+        images = _slime_3_3()
+        images[(0, 1, 2)] = images[(0, 0, 3)]
+        assert self.outcome(_file_map(tmp_path, "collide", images.items())) == (9, 5, [
+            "weighted sum not raised by 1: 0,1,2 (ws 2) -> 1,0,2 (ws 1)",
+            "round trip broken: 0,1,2 -> 1,0,2 -> 0,0,3",
+            "not rotation invariant at 0,1,2: rotation maps to 0,3,0, expected 0,2,1",
+            "not rotation invariant at 2,0,1: rotation maps to 1,0,2, expected 0,0,3",
+            "image does not cover the full-period codes: missing ['0,0,3'], foreign []",
+        ])
+
+    def test_not_rotation_invariant(self, tmp_path):
+        images = _slime_3_3()
+        images[(0, 1, 2)], images[(1, 2, 0)] = images[(1, 2, 0)], images[(0, 1, 2)]
+        assert self.outcome(_file_map(tmp_path, "swap", images.items())) == (9, 3, [
+            "not rotation invariant at 0,1,2: rotation maps to 0,0,3, expected 3,0,0",
+            "not rotation invariant at 1,2,0: rotation maps to 3,0,0, expected 0,3,0",
+            "not rotation invariant at 2,0,1: rotation maps to 0,3,0, expected 0,0,3",
+        ])
+
+    def test_image_does_not_cover(self, tmp_path):
+        images = _slime_3_3()
+        images[(0, 1, 2)] = (1, 1, 1)
+        assert self.outcome(_file_map(tmp_path, "foreign", images.items())) == (9, 3, [
+            "not rotation invariant at 0,1,2: rotation maps to 0,3,0, expected 1,1,1",
+            "not rotation invariant at 2,0,1: rotation maps to 1,1,1, expected 0,0,3",
+            "image does not cover the full-period codes: missing ['0,0,3'], foreign ['1,1,1']",
+        ])
+
+    def test_details_capped_count_exact(self, tmp_path):
+        domain = [f.entries for f in enumerate_codes(4, 3, full_period_only=True)]
+        checked, failure_count, failures = self.outcome(
+            _file_map(tmp_path, "identity43", [(e, e) for e in domain]), 4, 3)
+        assert (checked, failure_count, len(failures)) == (20, 20, DETAIL_CAP)
+        assert failures == [
+            "weighted sum not raised by 1: 0,0,0,3 (ws 1) -> 0,0,0,3 (ws 1)",
+            "weighted sum not raised by 1: 0,0,1,2 (ws 0) -> 0,0,1,2 (ws 0)",
+            "weighted sum not raised by 1: 0,0,2,1 (ws 3) -> 0,0,2,1 (ws 3)",
+            "weighted sum not raised by 1: 0,0,3,0 (ws 2) -> 0,0,3,0 (ws 2)",
+            "weighted sum not raised by 1: 0,1,0,2 (ws 3) -> 0,1,0,2 (ws 3)",
+            "weighted sum not raised by 1: 0,1,1,1 (ws 2) -> 0,1,1,1 (ws 2)",
+            "weighted sum not raised by 1: 0,1,2,0 (ws 1) -> 0,1,2,0 (ws 1)",
+            "weighted sum not raised by 1: 0,2,0,1 (ws 1) -> 0,2,0,1 (ws 1)",
+            "weighted sum not raised by 1: 0,2,1,0 (ws 0) -> 0,2,1,0 (ws 0)",
+            "weighted sum not raised by 1: 0,3,0,0 (ws 3) -> 0,3,0,0 (ws 3)",
+        ]
 
 IDENTITY = RiwiMap(descriptor="custom:identity", apply=lambda c: c, invert=lambda c: c)
 # not rotation invariant, so each class's pairs depend on the representative chosen
