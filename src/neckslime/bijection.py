@@ -29,19 +29,24 @@ odd k falls back to the rotation construction.
 Representatives default to the lexicographically smallest orbit member so
 emitted tables are reproducible; the chooser is recorded in the table
 metadata and changing it must never break bijectivity.
+
+Riwi maps act on plain entry tuples, and so does their verification: a
+:class:`Code` is built only for a table pair or a counterexample message.
+Map files are validated through ``Code(...)`` when they are loaded.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, replace
+from functools import partial
 from math import gcd
 from pathlib import Path
 from typing import Callable, Iterable
 
 from .codes import Code, enumerate_codes, is_prime, weighted_sum
 from .necklaces import Necklace, canonicalize, enumerate_necklaces
-from .slime import unit_migration, unit_migration_inverse
+from .slime import unit_step
 
 # counterexample strings kept per verification; failure counts stay exact
 DETAIL_CAP = 10
@@ -77,22 +82,24 @@ def neck_class(f: Code) -> NeckClass:
 class RiwiMap:
     """An invertible, rotation-invariant, weighted-sum-increasing transform.
 
+    ``apply`` and ``invert`` take and return entry tuples, such as
+    ``code.entries``, and raise ``ValueError`` where the map is undefined.
     ``descriptor`` names the construction ("rotation", "slime", or
     "custom:<name>") and is stamped into emitted tables.
     """
 
     descriptor: str
-    apply: Callable[[Code], Code]
-    invert: Callable[[Code], Code]
+    apply: Callable[[tuple[int, ...]], tuple[int, ...]]
+    invert: Callable[[tuple[int, ...]], tuple[int, ...]]
 
 
 def riwi_rotation(n: int, k: int) -> RiwiMap:
     """Rotation power raising the weighted sum by 1; needs gcd(n, k) = 1.
 
     One left rotation lowers the weighted sum by k, so rotating
-    (-k^(-1)) mod n times raises it by exactly 1.  The constructor
-    double-checks that shift on a sample code and refuses to hand out a
-    broken map.
+    (-k^(-1)) mod n times raises it by exactly 1.  The constructor runs the
+    maps it hands out on a sample code, checking the +1 shift and the round
+    trip, and refuses to hand out a broken map.
     """
     if n < 1:
         raise ValueError(f"riwi_rotation: need n >= 1, got {n}")
@@ -100,16 +107,18 @@ def riwi_rotation(n: int, k: int) -> RiwiMap:
     if g != 1:
         raise ValueError(f"riwi_rotation needs gcd(n, k) = 1, got gcd({n}, {k}) = {g}")
     j = (-pow(k, -1, n)) % n
-    sample = Code((k,) + (0,) * (n - 1))
-    if sample.rotate(j).weighted_sum() != (sample.weighted_sum() + 1) % n:
-        raise AssertionError(f"rotation power {j} failed its +1 shift self-check for ({n}, {k})")
+    back = (n - j) % n
 
-    def apply(f: Code, _j: int = j) -> Code:
-        return f.rotate(_j)
+    def apply(e: tuple[int, ...]) -> tuple[int, ...]:
+        return e[j:] + e[:j]
 
-    def invert(f: Code, _j: int = j) -> Code:
-        return f.rotate(-_j)
+    def invert(e: tuple[int, ...]) -> tuple[int, ...]:
+        return e[back:] + e[:back]
 
+    sample = (k,) + (0,) * (n - 1)
+    image = apply(sample)
+    if weighted_sum(image) != (weighted_sum(sample) + 1) % n or invert(image) != sample:
+        raise AssertionError(f"rotation power {j} failed its self-check for ({n}, {k})")
     return RiwiMap(descriptor="rotation", apply=apply, invert=invert)
 
 
@@ -122,35 +131,39 @@ def riwi_slime(n: int, k: int) -> RiwiMap:
     """
     if n == 2 or not is_prime(n):
         raise ValueError(f"riwi_slime needs an odd prime length, got n = {n}")
-    return RiwiMap(descriptor="slime", apply=unit_migration, invert=unit_migration_inverse)
+    return RiwiMap(descriptor="slime", apply=partial(unit_step, forward=True),
+                   invert=partial(unit_step, forward=False))
 
 
-def riwi_from_pairs(pairs: Iterable[tuple[Code, Code]], name: str = "pairs") -> RiwiMap:
-    """Wrap an explicit list of (source, image) pairs as a riwi-map candidate.
+def riwi_from_pairs(
+    pairs: Iterable[tuple[tuple[int, ...], tuple[int, ...]]], name: str = "pairs"
+) -> RiwiMap:
+    """Wrap an explicit list of (source, image) entry-tuple pairs as a riwi-map candidate.
 
-    No properties are checked here; feed the result to :func:`verify_riwi`.
-    Sources must be distinct; a repeated image surfaces later as a failed
-    round trip rather than a load error.
+    The tuples are taken as given; :func:`load_riwi_map` validates a map
+    file's entries first.  No properties are checked here; feed the result
+    to :func:`verify_riwi`.  Sources must be distinct; a repeated image
+    surfaces later as a failed round trip rather than a load error.
     """
-    forward: dict[Code, Code] = {}
-    backward: dict[Code, Code] = {}
+    forward: dict[tuple[int, ...], tuple[int, ...]] = {}
+    backward: dict[tuple[int, ...], tuple[int, ...]] = {}
     for src, dst in pairs:
         if src in forward:
-            raise ValueError(f"custom map lists source {src} twice")
+            raise ValueError(f"custom map lists source {Code._trusted(src)} twice")
         forward[src] = dst
         backward.setdefault(dst, src)
 
-    def apply(f: Code) -> Code:
+    def apply(e: tuple[int, ...]) -> tuple[int, ...]:
         try:
-            return forward[f]
+            return forward[e]
         except KeyError:
-            raise ValueError(f"custom map does not cover {f}") from None
+            raise ValueError(f"custom map does not cover {Code._trusted(e)}") from None
 
-    def invert(f: Code) -> Code:
+    def invert(e: tuple[int, ...]) -> tuple[int, ...]:
         try:
-            return backward[f]
+            return backward[e]
         except KeyError:
-            raise ValueError(f"custom map image does not cover {f}") from None
+            raise ValueError(f"custom map image does not cover {Code._trusted(e)}") from None
 
     return RiwiMap(descriptor=f"custom:{name}", apply=apply, invert=invert)
 
@@ -167,10 +180,13 @@ def load_riwi_map(path: str | Path) -> RiwiMap:
     pairs = []
     for item in data:
         try:
-            pairs.append((Code(tuple(item["from"])), Code(tuple(item["to"]))))
+            pairs.append((Code(tuple(item["from"])).entries, Code(tuple(item["to"])).entries))
         except (KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"map file {path}: bad entry {item!r}") from exc
-    return riwi_from_pairs(pairs, name=path.stem)
+    try:
+        return riwi_from_pairs(pairs, name=path.stem)
+    except ValueError as exc:
+        raise ValueError(f"map file {path}: {exc}") from None
 
 
 @dataclass(frozen=True, slots=True)
@@ -230,13 +246,12 @@ def build_sigma(n: int, k: int, chi: RiwiMap, chooser: str = "lexmin") -> Biject
         ws = weighted_sum(e)
         if ws % g:
             continue
-        orbit = [Code._trusted(e[s:] + e[:s]) for s in range(ws // g * step % q, n, q)]
-        rep = pick(orbit, key=lambda c: c.entries)
-        pairs.append((rep, neck))
+        rep = pick([e[s:] + e[:s] for s in range(ws // g * step % q, n, q)])
+        pairs.append((Code._trusted(rep), neck))
         image = rep
-        for i in range(1, g):
+        for s in range(q, n, q):
             image = chi.apply(image)
-            pairs.append((rep.rotate(i * q), canonicalize(image)))
+            pairs.append((Code._trusted(rep[s:] + rep[:s]), canonicalize(Code._trusted(image))))
     pairs.sort(key=lambda p: p[0].entries)
     return BijectionTable(n=n, k=k, riwi=chi.descriptor, chooser=chooser, pairs=tuple(pairs))
 
@@ -311,12 +326,12 @@ def verify_riwi(chi: RiwiMap, n: int, k: int) -> RiwiReport:
     """Exhaustively check ``chi`` on every full-period (n, k)-code.
 
     Confirms the apply/invert round trip, image coverage of the full-period
-    set, the +1 weighted-sum shift, and commutation with rotation.  Failures
-    become report content, never exceptions; detail strings are capped while
-    the count stays exact.
+    set, the +1 weighted-sum shift, and commutation with rotation.  Runs on
+    entry tuples, with one weighted sum per code; codes are rendered only
+    in counterexamples.  Failures become report content, never exceptions;
+    detail strings are capped while the count stays exact.
     """
-    domain = list(enumerate_codes(n, k, full_period_only=True))
-    domain_set = set(domain)
+    ws = {f.entries: weighted_sum(f.entries) for f in enumerate_codes(n, k, full_period_only=True)}
     failures: list[str] = []
     failure_count = 0
 
@@ -326,33 +341,36 @@ def verify_riwi(chi: RiwiMap, n: int, k: int) -> RiwiReport:
         if len(failures) < DETAIL_CAP:
             failures.append(msg)
 
-    image: dict[Code, Code] = {}
-    for f in domain:
+    show = Code._trusted
+    image: dict[tuple[int, ...], tuple[int, ...]] = {}
+    for f, wf in ws.items():
         try:
             g = chi.apply(f)
         except ValueError as exc:
-            note(f"apply failed on {f}: {exc}")
+            note(f"apply failed on {show(f)}: {exc}")
             continue
         image[f] = g
-        if g.weighted_sum() != (f.weighted_sum() + 1) % n:
-            note(f"weighted sum not raised by 1: {f} (ws {f.weighted_sum()}) -> {g} (ws {g.weighted_sum()})")
+        wg = ws[g] if g in ws else weighted_sum(g)
+        if wg != (wf + 1) % n:
+            note(f"weighted sum not raised by 1: {show(f)} (ws {wf}) -> {show(g)} (ws {wg})")
         try:
             back = chi.invert(g)
         except ValueError as exc:
-            note(f"invert failed on {g}: {exc}")
+            note(f"invert failed on {show(g)}: {exc}")
             continue
         if back != f:
-            note(f"round trip broken: {f} -> {g} -> {back}")
+            note(f"round trip broken: {show(f)} -> {show(g)} -> {show(back)}")
     for f, g in image.items():
-        rf = f.rotate(1)
-        rg = image.get(rf)
-        if rg is not None and rg != g.rotate(1):
-            note(f"not rotation invariant at {f}: rotation maps to {rg}, expected {g.rotate(1)}")
-    if set(image.values()) != domain_set:
-        missing = sorted(domain_set - set(image.values()), key=lambda c: c.entries)[:3]
-        extra = sorted(set(image.values()) - domain_set, key=lambda c: c.entries)[:3]
+        rg = image.get(f[1:] + f[:1])
+        if rg is not None and rg != g[1:] + g[:1]:
+            note(f"not rotation invariant at {show(f)}: rotation maps to {show(rg)}, "
+                 f"expected {show(g[1:] + g[:1])}")
+    images = set(image.values())
+    if images != ws.keys():
+        missing = sorted(ws.keys() - images)[:3]
+        extra = sorted(images - ws.keys())[:3]
         note(
             "image does not cover the full-period codes: missing "
-            f"{[str(c) for c in missing]}, foreign {[str(c) for c in extra]}"
+            f"{[str(show(e)) for e in missing]}, foreign {[str(show(e)) for e in extra]}"
         )
-    return RiwiReport(checked=len(domain), failure_count=failure_count, failures=tuple(failures))
+    return RiwiReport(checked=len(ws), failure_count=failure_count, failures=tuple(failures))

@@ -24,7 +24,7 @@ from typing import Callable, Iterator
 from .bijection import DETAIL_CAP, RiwiMap, prime_bijection, riwi_rotation, riwi_slime, verify_riwi
 from .codes import Code, enumerate_codes, is_prime, weighted_sum
 from .necklaces import count_necklaces, enumerate_necklaces
-from .slime import is_valid, runs, step
+from .slime import runs, step
 
 
 @dataclass(frozen=True, slots=True)
@@ -100,11 +100,12 @@ def check_invalid_iff_constant(n: int, k: int) -> Certificate:
     invalid = 0
     for f in enumerate_codes(n, k):
         tally.examined += 1
-        is_invalid = not is_valid(f)
-        if is_invalid:
-            invalid += 1
-        if is_invalid != f.is_constant():
-            tally.fail(f"{f}: invalid={is_invalid} but constant={f.is_constant()}")
+        e = f.entries
+        is_invalid = runs(e)[1] is None
+        invalid += is_invalid
+        constant = e.count(e[0]) == n
+        if is_invalid != constant:
+            tally.fail(f"{f}: invalid={is_invalid} but constant={constant}")
     tally.info["invalid"] = invalid
     return tally.certificate()
 

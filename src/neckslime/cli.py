@@ -13,8 +13,9 @@ built-in riwi map (``--riwi``) or a map file (``--map``), not both.
 
 Exit codes: 0 success / verified; 1 verification failure, a mathematical
 precondition violated (composite length where a prime is needed, migrating
-an invalid code, ...) or a map file that cannot be read, parsed or holds a
-bad entry; 2 malformed command-line usage or unparseable code literals.
+an invalid code, ...) or a map file that cannot be read, parsed, holds a
+bad entry or lists a source twice; 2 malformed command-line usage or
+unparseable code literals.
 A reader that closes the pipe early (``neckslime sweep | head -1``) ends the
 command quietly with status 1: stdout is pointed at the null device so the
 shutdown flush cannot fail again, and nothing is printed on stderr (the

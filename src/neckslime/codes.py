@@ -149,13 +149,14 @@ def enumerate_codes(
         raise ValueError(f"enumerate_codes: need k >= 0, got {k}")
     if t is not None:
         t %= n
+    # a code of period below n repeats after n / p steps for some prime p dividing n
+    shifts = [n // p for p in range(2, n + 1) if n % p == 0 and is_prime(p)]
     for entries in _compositions(n, k):
         if t is not None and weighted_sum(entries) != t:
             continue
-        code = Code._trusted(entries)
-        if full_period_only and code.period() != n:
+        if full_period_only and any(entries == entries[d:] + entries[:d] for d in shifts):
             continue
-        yield code
+        yield Code._trusted(entries)
 
 
 def _compositions(n: int, k: int) -> Iterator[tuple[int, ...]]:

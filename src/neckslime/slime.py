@@ -31,8 +31,9 @@ times shifts the weighted sum by exactly +1 while commuting with rotation;
 that unit move is the engine behind the slime-based orbit bijection.  It
 needs gcd(w(f), n) = 1, which always holds when n is prime.
 
-The kernel is :func:`runs` and :func:`step` on plain entry tuples; the functions
-on :class:`Code` wrap it, and only :func:`decompose` builds :class:`Slime` objects.
+The kernel is :func:`runs`, :func:`step` and :func:`unit_step` on plain entry
+tuples; the functions on :class:`Code` wrap it, and only :func:`decompose`
+builds :class:`Slime` objects.
 """
 
 from __future__ import annotations
@@ -132,12 +133,12 @@ def is_valid(code: Code) -> bool:
 
 
 def weight(code: Code) -> int:
-    return _weight(code, runs(code.entries)[1])
+    return _weight(code.entries, runs(code.entries)[1])
 
 
-def _weight(code: Code, rs: tuple[tuple[int, int], ...] | None) -> int:
+def _weight(entries: tuple[int, ...], rs: tuple[tuple[int, int], ...] | None) -> int:
     if rs is None:
-        raise InvalidCodeError(f"code {code} has no weight: all pair sums equal")
+        raise InvalidCodeError(f"code {Code._trusted(entries)} has no weight: all pair sums equal")
     return sum(ln // 2 for _, ln in rs)
 
 
@@ -163,21 +164,23 @@ def unit_migration(code: Code) -> Code:
 
     Commutes with rotation and preserves everything migration preserves.
     """
-    return _unit(code, forward=True)
+    return Code._trusted(unit_step(code.entries, forward=True))
 
 
 def unit_migration_inverse(code: Code) -> Code:
     """Inverse of :func:`unit_migration`: shifts the weighted sum by -1."""
-    return _unit(code, forward=False)
+    return Code._trusted(unit_step(code.entries, forward=False))
 
 
-def _unit(code: Code, forward: bool) -> Code:
-    n, e = code.n, code.entries
-    rs = runs(e)[1]
-    w = _weight(code, rs)  # raises InvalidCodeError on invalid codes
+def unit_step(entries: tuple[int, ...], forward: bool) -> tuple[int, ...]:
+    """:func:`unit_migration` (or, backward, its inverse) on a plain entry tuple."""
+    n = len(entries)
+    rs = runs(entries)[1]
+    w = _weight(entries, rs)  # raises InvalidCodeError on invalid codes
     if gcd(w, n) != 1:
-        raise NonCoprimeWeightError(f"weight {w} of {code} is not invertible mod {n} (gcd {gcd(w, n)})")
-    e = step(e, rs, forward)
+        raise NonCoprimeWeightError(
+            f"weight {w} of {Code._trusted(entries)} is not invertible mod {n} (gcd {gcd(w, n)})")
+    e = step(entries, rs, forward)
     for _ in range(pow(w, -1, n) - 1):  # migration preserves validity, so every image has runs
         e = step(e, runs(e)[1], forward)
-    return Code._trusted(e)
+    return e

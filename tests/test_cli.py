@@ -22,7 +22,7 @@ def run(*args: str) -> subprocess.CompletedProcess:
 
 
 def write_map(path: Path, image, n: int, k: int) -> Path:
-    rows = [{"from": list(f.entries), "to": list(image(f).entries)}
+    rows = [{"from": list(f.entries), "to": list(image(f.entries))}
             for f in neckslime.enumerate_codes(n, k, full_period_only=True)]
     path.write_text(json.dumps(rows))
     return path
@@ -144,7 +144,7 @@ class TestBijectionCommand:
 
         chi = neckslime.riwi_rotation(4, 3)
         rows = [
-            {"from": list(f.entries), "to": list(chi.apply(f).entries)}
+            {"from": list(f.entries), "to": list(chi.apply(f.entries))}
             for f in neckslime.enumerate_codes(4, 3, full_period_only=True)
         ]
         path = tmp_path / "rot.json"
@@ -179,7 +179,7 @@ class TestVerifyCommands:
 
         domain = list(neckslime.enumerate_codes(3, 3, full_period_only=True))
         good = neckslime.riwi_slime(3, 3)
-        good_rows = [{"from": list(f.entries), "to": list(good.apply(f).entries)} for f in domain]
+        good_rows = [{"from": list(f.entries), "to": list(good.apply(f.entries))} for f in domain]
         bad_rows = [{"from": list(f.entries), "to": list(f.entries)} for f in domain]
         good_path, bad_path = tmp_path / "good.json", tmp_path / "bad.json"
         good_path.write_text(json.dumps(good_rows))
@@ -347,6 +347,14 @@ class TestExitCodes:
             p = run("verify-riwi", "--map", str(path), "3", "3")
             assert p.returncode == 1 and p.stdout == ""
             assert "error: map file" in p.stderr and "bad entry" in p.stderr
+
+    def test_duplicate_map_source_names_the_file(self, tmp_path):
+        path = tmp_path / "dup.json"
+        path.write_text(json.dumps([{"from": [1, 0, 2], "to": [2, 0, 1]}] * 2))
+        for argv in (("verify-riwi", "--map", str(path), "3", "3"), ("bijection", "3", "3", "--map", str(path))):
+            p = run(*argv)
+            assert p.returncode == 1 and p.stdout == ""
+            assert p.stderr == f"error: map file {path}: custom map lists source 1,0,2 twice\n"
 
     def test_malformed_map_json_is_one(self, tmp_path):
         path = tmp_path / "bad.json"
