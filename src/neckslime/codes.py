@@ -149,12 +149,15 @@ def enumerate_codes(
         raise ValueError(f"enumerate_codes: need k >= 0, got {k}")
     if t is not None:
         t %= n
-    # a code of period below n repeats after n / p steps for some prime p dividing n
-    shifts = [n // p for p in range(2, n + 1) if n % p == 0 and is_prime(p)]
+    # a code of period below n repeats after n / p steps for a prime p dividing n,
+    # and then p divides k as well
+    shifts = []
+    if full_period_only:
+        shifts = [n // p for p in range(2, n + 1) if n % p == k % p == 0 and is_prime(p)]
     for entries in _compositions(n, k):
         if t is not None and weighted_sum(entries) != t:
             continue
-        if full_period_only and any(entries == entries[d:] + entries[:d] for d in shifts):
+        if shifts and any(entries == entries[d:] + entries[:d] for d in shifts):
             continue
         yield Code._trusted(entries)
 

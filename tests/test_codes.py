@@ -163,6 +163,13 @@ class TestEnumerate:
         assert (1, 1, 1) not in full
         assert len(full) == 9
 
+    def test_full_period_filter_matches_period(self):
+        # composite n with and without a common factor with k, and k = 0
+        for n in range(1, 13):
+            for k in range(7):
+                got = [f.entries for f in enumerate_codes(n, k, full_period_only=True)]
+                assert got == [f.entries for f in enumerate_codes(n, k) if f.period() == n], (n, k)
+
     def test_k_zero(self):
         assert [f.entries for f in enumerate_codes(4, 0)] == [(0, 0, 0, 0)]
 
