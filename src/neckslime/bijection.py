@@ -53,32 +53,6 @@ DETAIL_CAP = 10
 
 
 @dataclass(frozen=True, slots=True)
-class NeckClass:
-    """Rotation orbit of a full-period code within one residue class."""
-
-    q: int
-    representative: Code
-    members: tuple[Code, ...]
-
-
-def neck_class(f: Code) -> NeckClass:
-    """The neck-class of ``f``: its stride-q rotations, anchored at the lex-min member.
-
-    All members share the weighted-sum residue of ``f``; there are gcd(n, k)
-    of them.  Requires a full-period code.
-    """
-    n = f.n
-    if f.period() != n:
-        raise ValueError(f"neck_class needs a full-period code, {f} has period {f.period()}")
-    q = n // gcd(n, f.k)
-    size = n // q
-    orbit = [f.rotate(i * q) for i in range(size)]
-    rep = min(orbit, key=lambda c: c.entries)
-    members = tuple(rep.rotate(i * q) for i in range(size))
-    return NeckClass(q=q, representative=rep, members=members)
-
-
-@dataclass(frozen=True, slots=True)
 class RiwiMap:
     """An invertible, rotation-invariant, weighted-sum-increasing transform.
 
@@ -322,14 +296,22 @@ class RiwiReport:
         return self.failure_count == 0
 
 
+def _is_entries(value: object, n: int) -> bool:
+    """Whether ``value`` is what a riwi map must return: a tuple of ``n`` nonnegative ints."""
+    return (type(value) is tuple and len(value) == n
+            and all(type(v) is int and v >= 0 for v in value))
+
+
 def verify_riwi(chi: RiwiMap, n: int, k: int) -> RiwiReport:
     """Exhaustively check ``chi`` on every full-period (n, k)-code.
 
     Confirms the apply/invert round trip, image coverage of the full-period
     set, the +1 weighted-sum shift, and commutation with rotation.  Runs on
     entry tuples, with one weighted sum per code; codes are rendered only
-    in counterexamples.  Failures become report content, never exceptions;
-    detail strings are capped while the count stays exact.
+    in counterexamples.  Failures become report content, never exceptions,
+    and so do a ``ValueError`` from the map and a returned value that is not
+    an entry tuple of length n; detail strings are capped while the count
+    stays exact.
     """
     ws = {f.entries: weighted_sum(f.entries) for f in enumerate_codes(n, k, full_period_only=True)}
     failures: list[str] = []
@@ -349,8 +331,14 @@ def verify_riwi(chi: RiwiMap, n: int, k: int) -> RiwiReport:
         except ValueError as exc:
             note(f"apply failed on {show(f)}: {exc}")
             continue
+        try:
+            wg = ws[g]
+        except (KeyError, TypeError):  # a foreign image, or no entry tuple at all
+            if not _is_entries(g, n):
+                note(f"apply returned {g!r} on {show(f)}, not an entry tuple of length {n}")
+                continue
+            wg = weighted_sum(g)
         image[f] = g
-        wg = ws[g] if g in ws else weighted_sum(g)
         if wg != (wf + 1) % n:
             note(f"weighted sum not raised by 1: {show(f)} (ws {wf}) -> {show(g)} (ws {wg})")
         try:
@@ -359,7 +347,10 @@ def verify_riwi(chi: RiwiMap, n: int, k: int) -> RiwiReport:
             note(f"invert failed on {show(g)}: {exc}")
             continue
         if back != f:
-            note(f"round trip broken: {show(f)} -> {show(g)} -> {show(back)}")
+            if not _is_entries(back, n):
+                note(f"invert returned {back!r} on {show(g)}, not an entry tuple of length {n}")
+            else:
+                note(f"round trip broken: {show(f)} -> {show(g)} -> {show(back)}")
     for f, g in image.items():
         rg = image.get(f[1:] + f[:1])
         if rg is not None and rg != g[1:] + g[:1]:

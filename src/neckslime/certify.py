@@ -203,44 +203,40 @@ def check_riwi_rotation(n: int, k: int) -> Certificate:
 
 
 def check_prime_bijection(n: int, k: int) -> Certificate:
-    """prime_bijection is injective, surjective onto all necklaces, and counts right."""
+    """prime_bijection is injective, surjective onto all necklaces, and counts right.
+
+    The same checks run under each representative chooser: changing it must
+    never break bijectivity.
+    """
     if not is_prime(n):
         raise ValueError(f"prime_bijection is only defined for prime n, got {n}")
     tally = _Tally("prime-bijection", n, k)
-    table = prime_bijection(n, k)
     expected_codes = list(enumerate_codes(n, k, t=0))
-    tally.examined = len(expected_codes)
-    codes = [c for c, _ in table.pairs]
-    necks = [m for _, m in table.pairs]
-    if codes != expected_codes:
-        only_table = sorted(set(codes) - set(expected_codes), key=lambda c: c.entries)[:3]
-        only_domain = sorted(set(expected_codes) - set(codes), key=lambda c: c.entries)[:3]
-        tally.fail(
-            f"domain mismatch: unexpected {[str(c) for c in only_table]}, "
-            f"missing {[str(c) for c in only_domain]}"
-        )
-    if len(set(necks)) != len(necks):
-        dup = sorted({str(m) for m in necks if necks.count(m) > 1})[:3]
-        tally.fail(f"not injective: repeated necklaces {dup}")
+    domain = set(expected_codes)
     all_necklaces = set(enumerate_necklaces(n, k))
-    if set(necks) != all_necklaces:
-        missing = sorted(all_necklaces - set(necks), key=lambda m: m.canonical)[:3]
-        tally.fail(f"not surjective: unreached necklaces {[str(m) for m in missing]}")
     expected = count_necklaces(n, k)
-    if len(table.pairs) != expected:
-        tally.fail(f"table has {len(table.pairs)} pairs, necklace count is {expected}")
-    # a different representative chooser must still give a bijection
-    alt = prime_bijection(n, k, chooser="lexmax")
-    alt_necks = [m for _, m in alt.pairs]
-    alt_ok = (
-        [c for c, _ in alt.pairs] == expected_codes
-        and len(set(alt_necks)) == len(alt_necks)
-        and set(alt_necks) == all_necklaces
-    )
-    if not alt_ok:
-        tally.fail("lexmax representative chooser broke bijectivity")
-    tally.info["pairs"] = len(table.pairs)
-    tally.info["choosers_agree"] = table.pairs == alt.pairs
+    tally.examined = len(expected_codes)
+    tables = {chooser: prime_bijection(n, k, chooser) for chooser in ("lexmin", "lexmax")}
+    for chooser, table in tables.items():
+        codes = [c for c, _ in table.pairs]
+        necks = [m for _, m in table.pairs]
+        if codes != expected_codes:
+            only_table = sorted(set(codes) - domain, key=lambda c: c.entries)[:3]
+            only_domain = sorted(domain - set(codes), key=lambda c: c.entries)[:3]
+            tally.fail(
+                f"{chooser}: domain mismatch: unexpected {[str(c) for c in only_table]}, "
+                f"missing {[str(c) for c in only_domain]}"
+            )
+        if len(set(necks)) != len(necks):
+            dup = sorted({str(m) for m in necks if necks.count(m) > 1})[:3]
+            tally.fail(f"{chooser}: not injective: repeated necklaces {dup}")
+        if set(necks) != all_necklaces:
+            missing = sorted(all_necklaces - set(necks), key=lambda m: m.canonical)[:3]
+            tally.fail(f"{chooser}: not surjective: unreached necklaces {[str(m) for m in missing]}")
+        if len(table.pairs) != expected:
+            tally.fail(f"{chooser}: table has {len(table.pairs)} pairs, necklace count is {expected}")
+    tally.info["pairs"] = len(tables["lexmin"].pairs)
+    tally.info["choosers_agree"] = tables["lexmin"].pairs == tables["lexmax"].pairs
     return tally.certificate()
 
 

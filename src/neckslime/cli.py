@@ -12,7 +12,7 @@ counterexample of a failed certificate.  ``bijection`` takes a
 built-in riwi map (``--riwi``) or a map file (``--map``), not both.
 
 Exit codes: 0 success / verified; 1 verification failure, a mathematical
-precondition violated (composite length where a prime is needed, migrating
+precondition violated (non-prime length where a prime is needed, migrating
 an invalid code, ...) or a map file that cannot be read, parsed, holds a
 bad entry or lists a source twice; 2 malformed command-line usage or
 unparseable code literals.
@@ -49,6 +49,13 @@ def _nonneg(text: str) -> int:
     value = int(text)
     if value < 0:
         raise ValueError("must be nonnegative")
+    return value
+
+
+def _prime(text: str) -> int:
+    value = int(text)
+    if not is_prime(value):
+        raise ValueError("must be prime")
     return value
 
 
@@ -159,7 +166,7 @@ def _cmd_bijection(args: argparse.Namespace) -> int:
         table = sigma_with_constant(n, k, chi, args.chooser)
     elif not is_prime(n):
         raise ValueError(
-            f"no built-in construction for composite length {n}; "
+            f"no built-in construction for non-prime length {n}; "
             "supply a riwi map with --map FILE"
         )
     else:
@@ -279,11 +286,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("sweep", parents=[fmt], help="run the certification checks over an envelope of cells")
-    p.add_argument("--n-max", type=int, default=8)
-    p.add_argument("--k-max", type=int, default=8)
-    p.add_argument("--primes", type=int, nargs="*", default=[11],
+    envelope = Envelope()
+    p.add_argument("--n-max", type=_nonneg, default=envelope.n_max)
+    p.add_argument("--k-max", type=_nonneg, default=envelope.k_max)
+    p.add_argument("--primes", type=_prime, nargs="*", default=list(envelope.prime_extra),
                    help="extra prime lengths to sweep beyond n-max")
-    p.add_argument("--max-codes", type=int, default=500_000,
+    p.add_argument("--max-codes", type=_positive, default=envelope.max_codes,
                    help="skip any cell whose enumeration would exceed this")
     p.add_argument("--check", action="append", choices=tuple(CHECKS), default=None, metavar="NAME",
                    help="restrict to one check (repeatable)")

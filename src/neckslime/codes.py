@@ -10,6 +10,13 @@ splits the codes of fixed ``(n, k)`` into ``n`` residue classes.  One left
 rotation lowers the weighted sum by ``k`` mod ``n``; that single fact drives
 all the orbit constructions built on top of this module.
 
+A code's least period d divides n, and the code is n/d copies of its first d
+entries, so n/d divides k as well.  A code therefore falls short of full
+period exactly when it repeats after n/p steps for some prime p dividing
+gcd(n, k): :meth:`Code.period` divides n by those primes alone, and
+``enumerate_codes(full_period_only=True)`` tests those shifts alone, so
+coprime cells test none.
+
 Codes hash and compare by their entry tuples, so they can be collected in
 sets and sorted lexicographically, and every enumeration here is emitted in
 lexicographic order to keep downstream tables reproducible.
@@ -18,6 +25,7 @@ lexicographic order to keep downstream tables reproducible.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import gcd
 from operator import mul
 from typing import Iterator
 
@@ -38,6 +46,12 @@ def is_prime(n: int) -> bool:
             return False
         p += 1
     return True
+
+
+def _period_primes(n: int, k: int) -> list[int]:
+    """The primes dividing gcd(n, k), by the period rule in the module docstring."""
+    g = gcd(n, k)
+    return [p for p in range(2, g + 1) if g % p == 0 and is_prime(p)]
 
 
 def weighted_sum(entries: tuple[int, ...]) -> int:
@@ -106,10 +120,12 @@ class Code:
     def period(self) -> int:
         """Smallest divisor ``d`` of ``n`` such that the code repeats every ``d`` steps."""
         e = self.entries
-        for d in divisors(self.n):
-            if e == e[d:] + e[:d]:
-                return d
-        raise AssertionError("unreachable: every code has period n at worst")
+        d = len(e)
+        for p in _period_primes(d, sum(e)):
+            # the periods of a code are closed under gcd, so one prime at a time
+            while d % p == 0 and e == e[d // p:] + e[:d // p]:
+                d //= p
+        return d
 
     def is_constant(self) -> bool:
         return self.period() == 1
@@ -149,11 +165,7 @@ def enumerate_codes(
         raise ValueError(f"enumerate_codes: need k >= 0, got {k}")
     if t is not None:
         t %= n
-    # a code of period below n repeats after n / p steps for a prime p dividing n,
-    # and then p divides k as well
-    shifts = []
-    if full_period_only:
-        shifts = [n // p for p in range(2, n + 1) if n % p == k % p == 0 and is_prime(p)]
+    shifts = [n // p for p in _period_primes(n, k)] if full_period_only else []
     for entries in _compositions(n, k):
         if t is not None and weighted_sum(entries) != t:
             continue

@@ -34,12 +34,6 @@ class NecklaceCountError(ValueError):
     """Raised when the divisor sum is not a multiple of n + k, which means a bug upstream."""
 
 
-def binomial(a: int, b: int) -> int:
-    if not 0 <= b <= a:
-        raise ValueError(f"binomial({a}, {b}) out of range")
-    return comb(a, b)
-
-
 def euler_phi(n: int) -> int:
     """Count of integers in 1..n coprime to n, by trial-division factoring."""
     if n < 1:
@@ -119,7 +113,7 @@ def count_necklaces(n: int, k: int) -> int:
         raise ValueError(f"count_necklaces: need n >= 1 and k >= 0, got ({n}, {k})")
     total = 0
     for d in divisors(gcd(n, k)):  # gcd(n, 0) == n covers the k == 0 case
-        total += euler_phi(d) * binomial((n + k) // d, n // d)
+        total += euler_phi(d) * comb((n + k) // d, n // d)
     q, r = divmod(total, n + k)
     if r:
         raise NecklaceCountError(f"necklace count for ({n}, {k}) did not divide evenly")

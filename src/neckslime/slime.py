@@ -84,10 +84,6 @@ class SlimeDecomposition:
         return out
 
 
-def max_adjacent_sum(code: Code) -> int:
-    return runs(code.entries)[0]
-
-
 def runs(entries: tuple[int, ...]) -> tuple[int, tuple[tuple[int, int], ...] | None]:
     """``(m, runs)``: the hot runs as ``(start, length)`` pairs sorted by start,
     or None in place of the runs when the code is invalid."""

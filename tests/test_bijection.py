@@ -14,7 +14,6 @@ from neckslime import (
     enumerate_codes,
     enumerate_necklaces,
     load_riwi_map,
-    neck_class,
     prime_bijection,
     riwi_from_pairs,
     riwi_rotation,
@@ -26,35 +25,6 @@ from neckslime import (
 from neckslime.bijection import DETAIL_CAP
 from neckslime.certify import check_riwi
 from neckslime.codes import weighted_sum
-
-
-class TestNeckClass:
-    def test_shared_orbit(self):
-        nc = neck_class(Code((3, 0, 0)))
-        assert nc.q == 1
-        assert nc.representative == Code((0, 0, 3))
-        assert set(nc.members) == {Code((3, 0, 0)), Code((0, 3, 0)), Code((0, 0, 3))}
-        assert all(m.weighted_sum() == 0 for m in nc.members)
-
-    def test_members_follow_stride_from_rep(self):
-        nc = neck_class(Code((3, 0, 0)))
-        assert nc.members == tuple(nc.representative.rotate(i) for i in range(3))
-
-    def test_coprime_singleton(self):
-        nc = neck_class(Code((4, 2, 1)))
-        assert nc.q == 3 and nc.members == (Code((4, 2, 1)),)
-
-    def test_class_size_is_gcd(self):
-        for n, k in [(4, 6), (6, 4), (6, 9), (5, 10)]:
-            for f in enumerate_codes(n, k, full_period_only=True):
-                assert len(neck_class(f).members) == gcd(n, k)
-                break
-
-    def test_low_period_rejected(self):
-        with pytest.raises(ValueError):
-            neck_class(Code((1, 1, 1)))
-        with pytest.raises(ValueError):
-            neck_class(Code((2, 0, 2, 0)))
 
 
 class TestRiwiRotation:
@@ -219,6 +189,28 @@ class TestVerifyRiwiMessages:
             "not rotation invariant at 0,1,2: rotation maps to 0,3,0, expected 1,1,1",
             "not rotation invariant at 2,0,1: rotation maps to 1,1,1, expected 0,0,3",
             "image does not cover the full-period codes: missing ['0,0,3'], foreign ['1,1,1']",
+        ])
+
+    def test_apply_returns_no_entry_tuple(self):
+        # a map in the old Code convention, and one returning the empty tuple
+        old = RiwiMap(descriptor="custom:old", apply=Code, invert=lambda c: c.entries)
+        empty = RiwiMap(descriptor="custom:empty", apply=lambda e: (), invert=lambda e: e)
+        domain = ("0,0,3", "0,1,2", "0,2,1", "0,3,0", "1,0,2", "1,2,0", "2,0,1", "2,1,0", "3,0,0")
+        uncovered = "image does not cover the full-period codes: missing ['0,0,3', '0,1,2', '0,2,1'], foreign []"
+        assert self.outcome(old) == (9, 10, [
+            f"apply returned Code(entries=({f.replace(',', ', ')})) on {f}, not an entry tuple of length 3"
+            for f in domain
+        ] + [uncovered])
+        assert self.outcome(empty) == (9, 10, [
+            f"apply returned () on {f}, not an entry tuple of length 3" for f in domain
+        ] + [uncovered])
+
+    def test_invert_returns_no_entry_tuple(self, tmp_path):
+        forward = _file_map(tmp_path, "slime", _slime_3_3().items())
+        chi = RiwiMap(descriptor="custom:old-inverse", apply=forward.apply, invert=lambda e: [*e])
+        assert self.outcome(chi) == (9, 9, [
+            f"invert returned [{g.replace(',', ', ')}] on {g}, not an entry tuple of length 3"
+            for g in ("1,0,2", "0,0,3", "0,1,2", "0,2,1", "2,0,1", "0,3,0", "3,0,0", "1,2,0", "2,1,0")
         ])
 
     def test_details_capped_count_exact(self, tmp_path):

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+from dataclasses import replace
 from math import comb
 
 import pytest
@@ -16,6 +17,7 @@ from neckslime import (
     run_sweep,
     summarize,
 )
+from neckslime import certify
 from neckslime.certify import (
     check_count_identity,
     check_invalid_iff_constant,
@@ -131,6 +133,29 @@ class TestPrimeBijectionCheck:
     def test_composite_rejected(self):
         with pytest.raises(ValueError):
             check_prime_bijection(6, 2)
+
+    def test_counterexamples_per_chooser(self, monkeypatch):
+        real = certify.prime_bijection
+
+        def broken(n, k, chooser="lexmin"):
+            table = real(n, k, chooser)
+            pairs = table.pairs
+            if chooser == "lexmin":  # drop the first pair
+                return replace(table, pairs=pairs[1:])
+            # send the first code to the second code's necklace
+            return replace(table, pairs=((pairs[0][0], pairs[1][1]),) + pairs[1:])
+
+        monkeypatch.setattr(certify, "prime_bijection", broken)
+        cert = check_prime_bijection(3, 3)
+        assert (cert.verdict, cert.failure_count, cert.examined) == ("fail", 5, 4)
+        assert list(cert.counterexamples) == [
+            "lexmin: domain mismatch: unexpected [], missing ['0,0,3']",
+            "lexmin: not surjective: unreached necklaces ['<0,0,3>']",
+            "lexmin: table has 3 pairs, necklace count is 4",
+            "lexmax: not injective: repeated necklaces ['<0,1,2>']",
+            "lexmax: not surjective: unreached necklaces ['<0,2,1>']",
+        ]
+        assert cert.info == {"pairs": 3, "choosers_agree": False}
 
 
 class TestCertificateShape:

@@ -295,10 +295,10 @@ class TestParserSnapshot:
                           ("riwi", ("--riwi",), None, ("slime", "rotation"), None, None, False)],
             "verify": [n, k, ("check", ("--check",), "all", ("all", *self.NAMES), None, None, False), fmt],
             "sweep": [("check", ("--check",), None, self.NAMES, None, None, False), fmt,
-                      ("k_max", ("--k-max",), 8, None, None, "int", False),
-                      ("max_codes", ("--max-codes",), 500_000, None, None, "int", False),
-                      ("n_max", ("--n-max",), 8, None, None, "int", False),
-                      ("primes", ("--primes",), [11], None, "*", "int", False)],
+                      ("k_max", ("--k-max",), 8, None, None, "_nonneg", False),
+                      ("max_codes", ("--max-codes",), 500_000, None, None, "_positive", False),
+                      ("n_max", ("--n-max",), 8, None, None, "_nonneg", False),
+                      ("primes", ("--primes",), [11], None, "*", "_prime", False)],
             "verify-riwi": [n, k, fmt, ("map", ("--map",), None, None, None, None, True)],
         }
         assert parser_snapshot(build_parser()) == want
@@ -362,6 +362,19 @@ class TestExitCodes:
         p = run("verify-riwi", "--map", str(path), "3", "3")
         assert p.returncode == 1 and p.stdout == ""
         assert f"error: map file {path}: not valid JSON" in p.stderr
+
+    def test_sweep_bounds_are_two(self):
+        for argv in (("--n-max", "-1"), ("--k-max", "-1"), ("--max-codes", "0"), ("--max-codes", "-1"),
+                     ("--primes", "4"), ("--primes", "11", "1")):
+            p = run("sweep", *argv)
+            assert p.returncode == 2 and p.stdout == "", argv
+
+    def test_non_prime_length_message(self):
+        for n in ("1", "6"):
+            p = run("bijection", n, "0")
+            assert p.returncode == 1 and p.stdout == ""
+            assert p.stderr == (f"error: no built-in construction for non-prime length {n}; "
+                                "supply a riwi map with --map FILE\n")
 
     def test_error_messages_on_stderr(self):
         p = run("bijection", "6", "4")

@@ -8,7 +8,6 @@ from hypothesis import given, strategies as st
 from neckslime import (
     Code,
     Necklace,
-    binomial,
     canonicalize,
     code_to_word,
     count_necklaces,
@@ -27,15 +26,6 @@ def test_euler_phi():
     assert [euler_phi(m) for m in range(1, 13)] == [1, 1, 2, 2, 4, 2, 6, 4, 6, 4, 10, 4]
     with pytest.raises(ValueError):
         euler_phi(0)
-
-
-def test_binomial():
-    assert binomial(6, 3) == 20
-    assert binomial(5, 0) == 1
-    with pytest.raises(ValueError):
-        binomial(3, 5)
-    with pytest.raises(ValueError):
-        binomial(3, -1)
 
 
 class TestCanonicalize:
