@@ -22,9 +22,10 @@ necklaces.  Two riwi constructions are provided:
 
 For prime n the sigma table extends to all of F_{n,k,0}: the only code of
 period < n is the constant one (present exactly when n | k), and it pairs
-with the constant necklace.  For n = 2 slime machinery is useless (every
-length-2 code is invalid), so even k is handled by an explicit parity rule;
-odd k falls back to the rotation construction.
+with the constant necklace.  :func:`build_sigma` adds that pair at every
+length n > 1 where the constant code is zero-residue.  For n = 2 slime
+machinery is useless (every length-2 code is invalid), so even k is handled
+by an explicit parity rule; odd k falls back to the rotation construction.
 
 Representatives default to the lexicographically smallest orbit member so
 emitted tables are reproducible; the chooser is recorded in the table
@@ -38,7 +39,7 @@ Map files are validated through ``Code(...)`` when they are loaded.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field
 from functools import partial
 from math import gcd
 from pathlib import Path
@@ -196,7 +197,7 @@ _CHOOSERS: dict[str, Callable] = {"lexmin": min, "lexmax": max}
 
 
 def build_sigma(n: int, k: int, chi: RiwiMap, chooser: str = "lexmin") -> BijectionTable:
-    """The sigma construction over the full-period zero-residue codes.
+    """The sigma construction over the full-period zero-residue codes, plus the constant code.
 
     Walks the full-period necklaces whose weighted sum ws is 0 mod
     g = gcd(n, k): exactly those have zero-residue rotations.  A left
@@ -205,8 +206,11 @@ def build_sigma(n: int, k: int, chi: RiwiMap, chooser: str = "lexmin") -> Biject
     they are the necklace's neck-class.  Each class is anchored at the
     member picked by ``chooser``, and stride rotations of the anchor pair
     with necklaces of iterated chi images; the anchor's own image is the
-    necklace itself.  Pairs come out sorted by code, so equal inputs give
-    byte-equal tables.  Bijectivity is certified downstream, not here.
+    necklace itself.  The constant code, which exists when n > 1 divides k
+    and has period 1, pairs with its own necklace when it is zero-residue:
+    always for odd n, and for even n only when k / n is even.  Pairs come
+    out sorted by code, so equal inputs give byte-equal tables.
+    Bijectivity is certified downstream, not here.
     """
     if chooser not in _CHOOSERS:
         raise ValueError(f"unknown representative chooser {chooser!r}")
@@ -226,6 +230,10 @@ def build_sigma(n: int, k: int, chi: RiwiMap, chooser: str = "lexmin") -> Biject
         for s in range(q, n, q):
             image = chi.apply(image)
             pairs.append((Code._trusted(rep[s:] + rep[:s]), canonicalize(Code._trusted(image))))
+    if n > 1 and k % n == 0:
+        const = Code._trusted((k // n,) * n)
+        if const.weighted_sum() == 0:
+            pairs.append((const, canonicalize(const)))
     pairs.sort(key=lambda p: p[0].entries)
     return BijectionTable(n=n, k=k, riwi=chi.descriptor, chooser=chooser, pairs=tuple(pairs))
 
@@ -233,7 +241,7 @@ def build_sigma(n: int, k: int, chi: RiwiMap, chooser: str = "lexmin") -> Biject
 def prime_bijection(n: int, k: int, chooser: str = "lexmin") -> BijectionTable:
     """The total bijection F_{n,k,0} -> necklaces for prime n.
 
-    Odd primes run :func:`sigma_with_constant` with the slime riwi map (the
+    Odd primes run :func:`build_sigma` with the slime riwi map (the
     constant code is the only non-full-period case a prime length admits).
     n = 2 uses the parity rule for even k and the rotation map for odd k.
     """
@@ -243,7 +251,7 @@ def prime_bijection(n: int, k: int, chooser: str = "lexmin") -> BijectionTable:
         raise ValueError(f"prime_bijection: need k >= 0, got {k}")
     if n == 2 and k % 2 == 0:
         return _n2_parity_table(k, chooser)
-    return sigma_with_constant(n, k, riwi_rotation(2, k) if n == 2 else riwi_slime(n, k), chooser)
+    return build_sigma(n, k, riwi_rotation(2, k) if n == 2 else riwi_slime(n, k), chooser)
 
 
 def _n2_parity_table(k: int, chooser: str) -> BijectionTable:
@@ -265,35 +273,22 @@ def _n2_parity_table(k: int, chooser: str) -> BijectionTable:
     return BijectionTable(n=2, k=k, riwi="custom:n2-parity", chooser=chooser, pairs=tuple(pairs))
 
 
-def sigma_with_constant(n: int, k: int, chi: RiwiMap, chooser: str = "lexmin") -> BijectionTable:
-    """Sigma table plus the constant code's pair when that code is zero-residue.
+@dataclass(slots=True)
+class Tally:
+    """Failures of one verification: an exact count and the first ``DETAIL_CAP`` messages."""
 
-    Every emitted table goes through here, and nothing else adds the
-    constant pair.  The constant code exists when n divides k and, having
-    period 1, is never seen by the sigma construction.  Its weighted sum is
-    always 0 for odd n; for even n it is 0 only when k / n is even.
-    """
-    table = build_sigma(n, k, chi, chooser)
-    if n == 1 or k % n:
-        return table
-    const = Code._trusted((k // n,) * n)
-    if const.weighted_sum():
-        return table
-    pairs = tuple(sorted(table.pairs + ((const, canonicalize(const)),), key=lambda p: p[0].entries))
-    return replace(table, pairs=pairs)
-
-
-@dataclass(frozen=True, slots=True)
-class RiwiReport:
-    """Outcome of exhaustively testing the riwi properties on one (n, k) cell."""
-
-    checked: int
-    failure_count: int
-    failures: tuple[str, ...]
+    checked: int = 0
+    failure_count: int = 0
+    failures: list[str] = field(default_factory=list)
 
     @property
     def passed(self) -> bool:
         return self.failure_count == 0
+
+    def fail(self, msg: str) -> None:
+        self.failure_count += 1
+        if len(self.failures) < DETAIL_CAP:
+            self.failures.append(msg)
 
 
 def _is_entries(value: object, n: int) -> bool:
@@ -302,66 +297,58 @@ def _is_entries(value: object, n: int) -> bool:
             and all(type(v) is int and v >= 0 for v in value))
 
 
-def verify_riwi(chi: RiwiMap, n: int, k: int) -> RiwiReport:
+def verify_riwi(chi: RiwiMap, n: int, k: int) -> Tally:
     """Exhaustively check ``chi`` on every full-period (n, k)-code.
 
     Confirms the apply/invert round trip, image coverage of the full-period
     set, the +1 weighted-sum shift, and commutation with rotation.  Runs on
     entry tuples, with one weighted sum per code; codes are rendered only
-    in counterexamples.  Failures become report content, never exceptions,
-    and so do a ``ValueError`` from the map and a returned value that is not
-    an entry tuple of length n; detail strings are capped while the count
-    stays exact.
+    in counterexamples.  Failures become tally content, never exceptions,
+    and so do any exception raised by the map and a returned value that is
+    not an entry tuple of length n.  The tally's ``checked`` is the number
+    of full-period codes.
     """
     ws = {f.entries: weighted_sum(f.entries) for f in enumerate_codes(n, k, full_period_only=True)}
-    failures: list[str] = []
-    failure_count = 0
-
-    def note(msg: str) -> None:
-        nonlocal failure_count
-        failure_count += 1
-        if len(failures) < DETAIL_CAP:
-            failures.append(msg)
-
+    tally = Tally(checked=len(ws))
     show = Code._trusted
     image: dict[tuple[int, ...], tuple[int, ...]] = {}
     for f, wf in ws.items():
         try:
             g = chi.apply(f)
-        except ValueError as exc:
-            note(f"apply failed on {show(f)}: {exc}")
+        except Exception as exc:
+            tally.fail(f"apply failed on {show(f)}: {exc}")
             continue
         try:
             wg = ws[g]
         except (KeyError, TypeError):  # a foreign image, or no entry tuple at all
             if not _is_entries(g, n):
-                note(f"apply returned {g!r} on {show(f)}, not an entry tuple of length {n}")
+                tally.fail(f"apply returned {g!r} on {show(f)}, not an entry tuple of length {n}")
                 continue
             wg = weighted_sum(g)
         image[f] = g
         if wg != (wf + 1) % n:
-            note(f"weighted sum not raised by 1: {show(f)} (ws {wf}) -> {show(g)} (ws {wg})")
+            tally.fail(f"weighted sum not raised by 1: {show(f)} (ws {wf}) -> {show(g)} (ws {wg})")
         try:
             back = chi.invert(g)
-        except ValueError as exc:
-            note(f"invert failed on {show(g)}: {exc}")
+        except Exception as exc:
+            tally.fail(f"invert failed on {show(g)}: {exc}")
             continue
         if back != f:
             if not _is_entries(back, n):
-                note(f"invert returned {back!r} on {show(g)}, not an entry tuple of length {n}")
+                tally.fail(f"invert returned {back!r} on {show(g)}, not an entry tuple of length {n}")
             else:
-                note(f"round trip broken: {show(f)} -> {show(g)} -> {show(back)}")
+                tally.fail(f"round trip broken: {show(f)} -> {show(g)} -> {show(back)}")
     for f, g in image.items():
         rg = image.get(f[1:] + f[:1])
         if rg is not None and rg != g[1:] + g[:1]:
-            note(f"not rotation invariant at {show(f)}: rotation maps to {show(rg)}, "
-                 f"expected {show(g[1:] + g[:1])}")
+            tally.fail(f"not rotation invariant at {show(f)}: rotation maps to {show(rg)}, "
+                       f"expected {show(g[1:] + g[:1])}")
     images = set(image.values())
     if images != ws.keys():
         missing = sorted(ws.keys() - images)[:3]
         extra = sorted(images - ws.keys())[:3]
-        note(
+        tally.fail(
             "image does not cover the full-period codes: missing "
             f"{[str(show(e)) for e in missing]}, foreign {[str(show(e)) for e in extra]}"
         )
-    return RiwiReport(checked=len(ws), failure_count=failure_count, failures=tuple(failures))
+    return tally

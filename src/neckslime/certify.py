@@ -3,7 +3,10 @@
 Each check exhausts one (n, k) cell and returns a :class:`Certificate`
 holding the verdict, the number of items examined, and concrete
 counterexamples when something breaks (detail strings are capped, the
-failure count is exact).  A failing certificate is data, not an exception;
+failure count is exact).  Every check collects its failures in one
+:class:`~neckslime.bijection.Tally`, the record :func:`verify_riwi` returns,
+and :func:`_certificate` turns it into the certificate.  A failing
+certificate is data, not an exception;
 exceptions are reserved for inapplicable inputs, e.g. asking for the
 odd-length invalidity check at even n.
 
@@ -21,7 +24,7 @@ from dataclasses import dataclass, field
 from math import comb, gcd
 from typing import Callable, Iterator
 
-from .bijection import DETAIL_CAP, RiwiMap, prime_bijection, riwi_rotation, riwi_slime, verify_riwi
+from .bijection import RiwiMap, Tally, prime_bijection, riwi_rotation, riwi_slime, verify_riwi
 from .codes import Code, enumerate_codes, is_prime, weighted_sum
 from .necklaces import count_necklaces, enumerate_necklaces
 from .slime import runs, step
@@ -60,54 +63,37 @@ class Certificate:
         return json.dumps(self.to_json_dict())
 
 
-class _Tally:
-    """Collects failures with capped detail and builds the certificate."""
-
-    def __init__(self, check: str, n: int, k: int) -> None:
-        self.check = check
-        self.n = n
-        self.k = k
-        self.details: list[str] = []
-        self.failure_count = 0
-        self.examined = 0
-        self.info: dict = {}
-        self.t0 = time.perf_counter()
-
-    def fail(self, msg: str) -> None:
-        self.failure_count += 1
-        if len(self.details) < DETAIL_CAP:
-            self.details.append(msg)
-
-    def certificate(self) -> Certificate:
-        return Certificate(
-            check=self.check,
-            n=self.n,
-            k=self.k,
-            verdict="pass" if self.failure_count == 0 else "fail",
-            counterexamples=tuple(self.details),
-            failure_count=self.failure_count,
-            examined=self.examined,
-            elapsed_s=time.perf_counter() - self.t0,
-            info=self.info,
-        )
+def _certificate(check: str, n: int, k: int, tally: Tally, t0: float, info: dict) -> Certificate:
+    """The certificate of a check's ``tally``, timed from ``t0`` (a ``perf_counter`` reading)."""
+    return Certificate(
+        check=check,
+        n=n,
+        k=k,
+        verdict="pass" if tally.passed else "fail",
+        counterexamples=tuple(tally.failures),
+        failure_count=tally.failure_count,
+        examined=tally.checked,
+        elapsed_s=time.perf_counter() - t0,
+        info=info,
+    )
 
 
 def check_invalid_iff_constant(n: int, k: int) -> Certificate:
     """For odd n, a code is invalid exactly when it is constant."""
     if n % 2 == 0:
         raise ValueError(f"the invalidity characterization applies to odd n only, got {n}")
-    tally = _Tally("invalid-constant", n, k)
+    t0 = time.perf_counter()
+    tally = Tally()
     invalid = 0
     for f in enumerate_codes(n, k):
-        tally.examined += 1
+        tally.checked += 1
         e = f.entries
         is_invalid = runs(e)[1] is None
         invalid += is_invalid
         constant = e.count(e[0]) == n
         if is_invalid != constant:
             tally.fail(f"{f}: invalid={is_invalid} but constant={constant}")
-    tally.info["invalid"] = invalid
-    return tally.certificate()
+    return _certificate("invalid-constant", n, k, tally, t0, {"invalid": invalid})
 
 
 def check_migration_laws(n: int, k: int) -> Certificate:
@@ -116,10 +102,11 @@ def check_migration_laws(n: int, k: int) -> Certificate:
     Runs on the slime kernel: each code and each of its two images is
     decomposed once, and the images' runs drive the inverse steps.
     """
-    tally = _Tally("migration-laws", n, k)
+    t0 = time.perf_counter()
+    tally = Tally()
     forward: dict[tuple[int, ...], tuple[int, ...]] = {}
     for f in enumerate_codes(n, k):
-        tally.examined += 1
+        tally.checked += 1
         e = f.entries
         m, rs = runs(e)
         if rs is None:
@@ -156,40 +143,34 @@ def check_migration_laws(n: int, k: int) -> Certificate:
     for e, g in forward.items():
         if forward.get(e[1:] + e[:1]) != g[1:] + g[:1]:
             tally.fail(f"{Code._trusted(e)}: forward migration does not commute with rotation")
-    tally.info["valid"] = len(forward)
-    tally.info["invalid"] = tally.examined - len(forward)
-    return tally.certificate()
+    info = {"valid": len(forward), "invalid": tally.checked - len(forward)}
+    return _certificate("migration-laws", n, k, tally, t0, info)
 
 
 def check_count_identity(n: int, k: int) -> Certificate:
     """Formula = enumerated necklace count; for odd n the zero residue class matches too."""
-    tally = _Tally("count-identity", n, k)
+    t0 = time.perf_counter()
     formula = count_necklaces(n, k)
     enumerated = len(enumerate_necklaces(n, k))
     zero_class = 0
     for _ in enumerate_codes(n, k, t=0):
         zero_class += 1
-    tally.examined = comb(n + k - 1, n - 1)
+    tally = Tally(checked=comb(n + k - 1, n - 1))
     if formula != enumerated:
         tally.fail(f"formula {formula} != enumerated {enumerated}")
     if n % 2 == 1 and zero_class != formula:
         tally.fail(f"odd n: |zero residue class| {zero_class} != necklace count {formula}")
-    tally.info.update(formula=formula, enumerated=enumerated, zero_class=zero_class)
+    info = {"formula": formula, "enumerated": enumerated, "zero_class": zero_class}
     if n % 2 == 0:
         # the class/count identity is only claimed for odd n; record, don't judge
-        tally.info["zero_class_matches"] = zero_class == formula
-    return tally.certificate()
+        info["zero_class_matches"] = zero_class == formula
+    return _certificate("count-identity", n, k, tally, t0, info)
 
 
 def check_riwi(check: str, chi: RiwiMap, n: int, k: int) -> Certificate:
     """:func:`verify_riwi` of ``chi`` on one cell as a certificate named ``check``."""
-    tally = _Tally(check, n, k)
-    report = verify_riwi(chi, n, k)
-    tally.examined = report.checked
-    tally.details.extend(report.failures)
-    tally.failure_count = report.failure_count
-    tally.info["riwi"] = chi.descriptor
-    return tally.certificate()
+    t0 = time.perf_counter()
+    return _certificate(check, n, k, verify_riwi(chi, n, k), t0, {"riwi": chi.descriptor})
 
 
 def check_riwi_slime(n: int, k: int) -> Certificate:
@@ -210,12 +191,12 @@ def check_prime_bijection(n: int, k: int) -> Certificate:
     """
     if not is_prime(n):
         raise ValueError(f"prime_bijection is only defined for prime n, got {n}")
-    tally = _Tally("prime-bijection", n, k)
+    t0 = time.perf_counter()
     expected_codes = list(enumerate_codes(n, k, t=0))
     domain = set(expected_codes)
     all_necklaces = set(enumerate_necklaces(n, k))
     expected = count_necklaces(n, k)
-    tally.examined = len(expected_codes)
+    tally = Tally(checked=len(expected_codes))
     tables = {chooser: prime_bijection(n, k, chooser) for chooser in ("lexmin", "lexmax")}
     for chooser, table in tables.items():
         codes = [c for c, _ in table.pairs]
@@ -235,9 +216,9 @@ def check_prime_bijection(n: int, k: int) -> Certificate:
             tally.fail(f"{chooser}: not surjective: unreached necklaces {[str(m) for m in missing]}")
         if len(table.pairs) != expected:
             tally.fail(f"{chooser}: table has {len(table.pairs)} pairs, necklace count is {expected}")
-    tally.info["pairs"] = len(tables["lexmin"].pairs)
-    tally.info["choosers_agree"] = tables["lexmin"].pairs == tables["lexmax"].pairs
-    return tally.certificate()
+    info = {"pairs": len(tables["lexmin"].pairs),
+            "choosers_agree": tables["lexmin"].pairs == tables["lexmax"].pairs}
+    return _certificate("prime-bijection", n, k, tally, t0, info)
 
 
 CHECKS: dict[str, tuple[Callable[[int, int], Certificate], Callable[[int, int], bool]]] = {

@@ -31,7 +31,7 @@ import os
 import sys
 from typing import Iterable
 
-from .bijection import load_riwi_map, prime_bijection, riwi_rotation, riwi_slime, sigma_with_constant
+from .bijection import build_sigma, load_riwi_map, prime_bijection, riwi_rotation, riwi_slime
 from .certify import CHECKS, Certificate, Envelope, check_riwi, run_cell, run_sweep, summarize
 from .codes import Code, enumerate_codes, is_prime
 from .necklaces import canonicalize, code_to_word, count_necklaces, enumerate_necklaces, word_to_code
@@ -160,14 +160,14 @@ def _cmd_count(args: argparse.Namespace) -> int:
 def _cmd_bijection(args: argparse.Namespace) -> int:
     n, k = args.n, args.k
     if args.map is not None:
-        table = sigma_with_constant(n, k, load_riwi_map(args.map), args.chooser)
+        table = build_sigma(n, k, load_riwi_map(args.map), args.chooser)
     elif args.riwi is not None:
         chi = riwi_slime(n, k) if args.riwi == "slime" else riwi_rotation(n, k)
-        table = sigma_with_constant(n, k, chi, args.chooser)
+        table = build_sigma(n, k, chi, args.chooser)
     elif not is_prime(n):
         raise ValueError(
             f"no built-in construction for non-prime length {n}; "
-            "supply a riwi map with --map FILE"
+            "supply a riwi map with --map FILE, or use --riwi rotation when gcd(n, k) = 1"
         )
     else:
         table = prime_bijection(n, k, args.chooser)

@@ -18,7 +18,6 @@ from neckslime import (
     riwi_from_pairs,
     riwi_rotation,
     riwi_slime,
-    sigma_with_constant,
     unit_migration,
     verify_riwi,
 )
@@ -213,6 +212,22 @@ class TestVerifyRiwiMessages:
             for g in ("1,0,2", "0,0,3", "0,1,2", "0,2,1", "2,0,1", "0,3,0", "3,0,0", "1,2,0", "2,1,0")
         ])
 
+    def test_apply_raising_attribute_error(self):
+        # a map in the old Code convention calls a Code method on its tuple argument
+        old = RiwiMap(descriptor="custom:old", apply=lambda c: c.rotate(1), invert=lambda c: c.rotate(-1))
+        domain = ("0,0,3", "0,1,2", "0,2,1", "0,3,0", "1,0,2", "1,2,0", "2,0,1", "2,1,0", "3,0,0")
+        assert self.outcome(old) == (9, 10, [
+            f"apply failed on {f}: 'tuple' object has no attribute 'rotate'" for f in domain
+        ] + ["image does not cover the full-period codes: missing ['0,0,3', '0,1,2', '0,2,1'], foreign []"])
+
+    def test_invert_raising_zero_division(self, tmp_path):
+        forward = _file_map(tmp_path, "slime", _slime_3_3().items())
+        chi = RiwiMap(descriptor="custom:divide", apply=forward.apply, invert=lambda e: (e[0] // 0,))
+        assert self.outcome(chi) == (9, 9, [
+            f"invert failed on {g}: integer division or modulo by zero"
+            for g in ("1,0,2", "0,0,3", "0,1,2", "0,2,1", "2,0,1", "0,3,0", "3,0,0", "1,2,0", "2,1,0")
+        ])
+
     def test_details_capped_count_exact(self, tmp_path):
         domain = [f.entries for f in enumerate_codes(4, 3, full_period_only=True)]
         checked, failure_count, failures = self.outcome(
@@ -259,6 +274,7 @@ class TestBuildSigma:
         assert got == {
             Code((0, 0, 3)): (0, 0, 3),
             Code((0, 3, 0)): (0, 2, 1),
+            Code((1, 1, 1)): (1, 1, 1),
             Code((3, 0, 0)): (0, 1, 2),
         }
 
@@ -268,17 +284,19 @@ class TestBuildSigma:
         assert len(table.pairs) == 12
 
     def test_covers_full_period_zero_class(self):
+        # every zero-residue code: the full-period ones and, where n | k, the constant one
         for n, k in [(3, 3), (5, 10), (4, 3), (6, 5)]:
             chi = riwi_slime(n, k) if n % 2 and gcd(n, k) > 1 else riwi_rotation(n, k)
             table = build_sigma(n, k, chi)
-            expected = list(enumerate_codes(n, k, t=0, full_period_only=True))
+            expected = list(enumerate_codes(n, k, t=0))
             assert [c for c, _ in table.pairs] == expected
 
     def test_bijective_onto_full_period_necklaces(self):
+        # 200 full-period necklaces and the constant one
         table = build_sigma(5, 10, riwi_slime(5, 10))
         necks = [m for _, m in table.pairs]
-        assert len(set(necks)) == len(necks) == 200
-        assert set(necks) == set(enumerate_necklaces(5, 10, full_period_only=True))
+        assert len(set(necks)) == len(necks) == 201
+        assert set(necks) == set(enumerate_necklaces(5, 10))
 
     @pytest.mark.parametrize("n,k", [(6, 4), (8, 6), (6, 9)])
     @pytest.mark.parametrize("chooser", ["lexmin", "lexmax"])
@@ -407,7 +425,7 @@ class TestCustomMaps:
             load_riwi_map(path)
 
     def test_sigma_with_constant_matches_prime_path(self):
-        direct = sigma_with_constant(3, 3, riwi_slime(3, 3))
+        direct = build_sigma(3, 3, riwi_slime(3, 3))
         assert direct.pairs == prime_bijection(3, 3).pairs
 
     def test_constant_pair_only_when_zero_residue(self):
@@ -415,11 +433,15 @@ class TestCustomMaps:
         identity = riwi_from_pairs(
             (f.entries, f.entries) for f in enumerate_codes(4, 4, full_period_only=True)
         )
-        codes = {c.entries for c, _ in sigma_with_constant(4, 4, identity).pairs}
+        codes = {c.entries for c, _ in build_sigma(4, 4, identity).pairs}
         assert (1, 1, 1, 1) not in codes
         assert Code((1, 1, 1, 1)).weighted_sum() == 2
-        table = sigma_with_constant(3, 3, riwi_slime(3, 3))
+        table = build_sigma(3, 3, riwi_slime(3, 3))
         assert (1, 1, 1) in {c.entries for c, _ in table.pairs}
+        # (2,2,2,2) has weighted sum 12 = 0 mod 4: an even length with the constant pair
+        table = build_sigma(4, 8, IDENTITY)
+        assert Code((2, 2, 2, 2)).weighted_sum() == 0
+        assert dict(table.pairs)[Code((2, 2, 2, 2))].canonical == (2, 2, 2, 2)
 
 
 class TestTableSerialization:

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import json
 from dataclasses import replace
 from math import comb
@@ -180,6 +181,19 @@ class TestCertificateShape:
         lines = text.splitlines()
         assert lines[0].split() == ["check", "n", "k", "verdict", "examined", "failures", "seconds"]
         assert "1 checks, 0 failed" in lines[-1]
+
+
+    def test_certificates_pinned(self):
+        # every field of every certificate but the wall time, in order, info keys included
+        certs = list(run_sweep(Envelope(n_max=4, k_max=4, prime_extra=(5,))))
+        lines = []
+        for cert in certs:
+            d = cert.to_json_dict()
+            del d["elapsed_s"]
+            lines.append(json.dumps(d))
+        digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+        assert (len(certs), digest) == (
+            106, "89be0ec4c952cb8a5c2ae1be38b936342234bac9013c64fa1eed29b335b419a0")
 
 
 class TestEnvelope:

@@ -153,6 +153,13 @@ class TestBijectionCommand:
         got = json.loads(p.stdout)
         assert p.returncode == 0 and got["riwi"] == "custom:rot" and len(got["pairs"]) == 5
 
+    def test_rotation_at_non_prime_length(self):
+        p = run("bijection", "4", "3", "--riwi", "rotation")
+        got = json.loads(p.stdout)
+        assert p.returncode == 0 and got["riwi"] == "rotation"
+        necklaces = [list(m.canonical) for m in neckslime.enumerate_necklaces(4, 3)]
+        assert sorted(pair["necklace"] for pair in got["pairs"]) == necklaces
+
     def test_chooser_flag(self):
         got = json.loads(run("bijection", "3", "3", "--chooser", "lexmax").stdout)
         assert got["chooser"] == "lexmax"
@@ -374,7 +381,8 @@ class TestExitCodes:
             p = run("bijection", n, "0")
             assert p.returncode == 1 and p.stdout == ""
             assert p.stderr == (f"error: no built-in construction for non-prime length {n}; "
-                                "supply a riwi map with --map FILE\n")
+                                "supply a riwi map with --map FILE, "
+                                "or use --riwi rotation when gcd(n, k) = 1\n")
 
     def test_error_messages_on_stderr(self):
         p = run("bijection", "6", "4")
