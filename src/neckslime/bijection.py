@@ -147,8 +147,8 @@ def load_riwi_map(path: str | Path) -> RiwiMap:
     """Load a custom map from a JSON array of {"from": [...], "to": [...]} objects."""
     path = Path(path)
     try:
-        data = json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
+        data = json.loads(path.read_text(encoding="utf-8"))
+    except ValueError as exc:  # JSONDecodeError, or UnicodeDecodeError from a file that is not UTF-8
         raise ValueError(f"map file {path}: not valid JSON: {exc}") from None
     if not isinstance(data, list):
         raise ValueError(f"map file {path} must hold a JSON array of from/to objects")

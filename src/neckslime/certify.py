@@ -248,7 +248,7 @@ class Envelope:
         return comb(n + k - 1, n - 1) <= self.max_codes
 
     def cells(self) -> Iterator[tuple[int, int]]:
-        extra = (p for p in self.prime_extra if p > self.n_max and is_prime(p))
+        extra = (p for p in dict.fromkeys(self.prime_extra) if p > self.n_max and is_prime(p))
         for n in [*range(1, self.n_max + 1), *extra]:
             for k in range(self.k_max + 1):
                 if self.admits(n, k):

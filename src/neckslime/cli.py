@@ -8,14 +8,14 @@ terse human-readable lines, and bijection tables additionally offer CSV.
 ``verify``, ``sweep`` and ``verify-riwi`` print certificates the same way:
 in JSON mode one line per certificate (``sweep`` prints and flushes each as
 soon as its check has finished); in text mode the summary table, then each
-counterexample of a failed certificate.  ``bijection`` takes a
-built-in riwi map (``--riwi``) or a map file (``--map``), not both.
+counterexample of a failed certificate.  ``bijection`` takes a ``--map``
+file that passes ``verify_riwi``, else works out its map from (n, k).
 
 Exit codes: 0 success / verified; 1 verification failure, a mathematical
-precondition violated (non-prime length where a prime is needed, migrating
+precondition violated (a cell with no built-in construction, migrating
 an invalid code, ...) or a map file that cannot be read, parsed, holds a
-bad entry or lists a source twice; 2 malformed command-line usage or
-unparseable code literals.
+bad entry, lists a source twice or is no riwi map; 2 malformed command-line
+usage or unparseable code literals.
 A reader that closes the pipe early (``neckslime sweep | head -1``) ends the
 command quietly with status 1: stdout is pointed at the null device so the
 shutdown flush cannot fail again, and nothing is printed on stderr (the
@@ -29,9 +29,10 @@ import csv
 import json
 import os
 import sys
+from math import gcd
 from typing import Iterable
 
-from .bijection import build_sigma, load_riwi_map, prime_bijection, riwi_rotation, riwi_slime
+from .bijection import build_sigma, load_riwi_map, prime_bijection, riwi_rotation, verify_riwi
 from .certify import CHECKS, Certificate, Envelope, check_riwi, run_cell, run_sweep, summarize
 from .codes import Code, enumerate_codes, is_prime
 from .necklaces import canonicalize, code_to_word, count_necklaces, enumerate_necklaces, word_to_code
@@ -160,17 +161,17 @@ def _cmd_count(args: argparse.Namespace) -> int:
 def _cmd_bijection(args: argparse.Namespace) -> int:
     n, k = args.n, args.k
     if args.map is not None:
-        table = build_sigma(n, k, load_riwi_map(args.map), args.chooser)
-    elif args.riwi is not None:
-        chi = riwi_slime(n, k) if args.riwi == "slime" else riwi_rotation(n, k)
+        chi = load_riwi_map(args.map)
+        tally = verify_riwi(chi, n, k)
+        if not tally.passed:
+            raise ValueError(f"map file {args.map}: not a riwi map at ({n}, {k}): {tally.failures[0]}")
         table = build_sigma(n, k, chi, args.chooser)
-    elif not is_prime(n):
-        raise ValueError(
-            f"no built-in construction for non-prime length {n}; "
-            "supply a riwi map with --map FILE, or use --riwi rotation when gcd(n, k) = 1"
-        )
-    else:
+    elif is_prime(n):
         table = prime_bijection(n, k, args.chooser)
+    elif gcd(n, k) == 1:
+        table = build_sigma(n, k, riwi_rotation(n, k), args.chooser)
+    else:
+        raise ValueError(f"no built-in construction for ({n}, {k}); supply a riwi map with --map FILE")
     if args.format == "json":
         print(json.dumps(table.to_json_dict()))
     elif args.format == "csv":
@@ -274,9 +275,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_count)
 
     p = sub.add_parser("bijection", parents=[cell], help="emit a code-to-necklace table")
-    riwi = p.add_mutually_exclusive_group()
-    riwi.add_argument("--riwi", choices=("slime", "rotation"), default=None)
-    riwi.add_argument("--map", default=None, metavar="FILE", help="custom riwi map (JSON pairs)")
+    p.add_argument("--map", default=None, metavar="FILE", help="custom riwi map (JSON pairs)")
     p.add_argument("--chooser", choices=("lexmin", "lexmax"), default="lexmin")
     p.add_argument("--format", choices=("json", "csv", "text"), default="json", help="output format")
     p.set_defaults(func=_cmd_bijection)

@@ -144,7 +144,7 @@ def test_criterion_09_weight_bounds():
 
 
 def test_criterion_10_determinism_and_worked_table():
-    cmd = [sys.executable, "-m", "neckslime", "bijection", "3", "3", "--riwi", "slime"]
+    cmd = [sys.executable, "-m", "neckslime", "bijection", "3", "3"]
     first = subprocess.run(cmd, capture_output=True)
     second = subprocess.run(cmd, capture_output=True)
     assert first.returncode == second.returncode == 0

@@ -213,6 +213,10 @@ class TestEnvelope:
         env = Envelope(prime_extra=(9, 11))
         assert all(n != 9 for n, _ in env.cells())
 
+    def test_repeated_extra_swept_once(self):
+        cells = list(Envelope(n_max=1, k_max=1, prime_extra=(5, 5)).cells())
+        assert cells == [(1, 0), (1, 1), (5, 0), (5, 1)]
+
 
 class TestRunners:
     def test_run_cell_all(self):

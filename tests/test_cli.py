@@ -3,14 +3,16 @@ from __future__ import annotations
 import argparse
 import json
 import re
+import shlex
 import subprocess
 import sys
+from math import gcd
 from pathlib import Path
 
 import neckslime
 from neckslime import Envelope, load_riwi_map, run_sweep
 from neckslime.certify import check_riwi
-from neckslime.cli import build_parser
+from neckslime.cli import build_parser, main
 
 
 def run(*args: str) -> subprocess.CompletedProcess:
@@ -113,7 +115,7 @@ class TestEnumCount:
 
 class TestBijectionCommand:
     def test_worked_table_json(self):
-        got = json.loads(run("bijection", "3", "3", "--riwi", "slime").stdout)
+        got = json.loads(run("bijection", "3", "3").stdout)
         assert got["n"] == 3 and got["k"] == 3
         assert got["riwi"] == "slime" and got["chooser"] == "lexmin"
         assert got["pairs"] == [
@@ -124,8 +126,8 @@ class TestBijectionCommand:
         ]
 
     def test_byte_determinism(self):
-        first = run("bijection", "3", "3", "--riwi", "slime")
-        second = run("bijection", "3", "3", "--riwi", "slime")
+        first = run("bijection", "3", "3")
+        second = run("bijection", "3", "3")
         assert first.stdout == second.stdout and first.returncode == second.returncode == 0
 
     def test_csv(self):
@@ -154,11 +156,35 @@ class TestBijectionCommand:
         assert p.returncode == 0 and got["riwi"] == "custom:rot" and len(got["pairs"]) == 5
 
     def test_rotation_at_non_prime_length(self):
-        p = run("bijection", "4", "3", "--riwi", "rotation")
+        p = run("bijection", "4", "3")
         got = json.loads(p.stdout)
         assert p.returncode == 0 and got["riwi"] == "rotation"
         necklaces = [list(m.canonical) for m in neckslime.enumerate_necklaces(4, 3)]
         assert sorted(pair["necklace"] for pair in got["pairs"]) == necklaces
+
+    def test_map_that_is_not_riwi_is_refused(self, tmp_path):
+        path = write_map(tmp_path / "identity.json", lambda f: f, 4, 6)
+        first = neckslime.verify_riwi(load_riwi_map(path), 4, 6).failures[0]
+        p = run("bijection", "4", "6", "--map", str(path))
+        assert p.returncode == 1 and p.stdout == ""
+        assert p.stderr == f"error: map file {path}: not a riwi map at (4, 6): {first}\n"
+
+    def test_every_small_cell(self, capsys):
+        for n in range(1, 10):
+            for k in range(10):
+                status = main(["bijection", str(n), str(k), "--format", "json"])
+                out, err = capsys.readouterr()
+                if neckslime.is_prime(n) or gcd(n, k) == 1:
+                    assert status == 0 and err == "", (n, k)
+                    pairs = json.loads(out)["pairs"]
+                    codes = [f.entries for f in neckslime.enumerate_codes(n, k, t=0)]
+                    necklaces = [m.canonical for m in neckslime.enumerate_necklaces(n, k)]
+                    assert sorted(tuple(pair["code"]) for pair in pairs) == sorted(codes), (n, k)
+                    assert sorted(tuple(pair["necklace"]) for pair in pairs) == sorted(necklaces), (n, k)
+                else:
+                    assert status == 1 and out == "", (n, k)
+                    assert err == (f"error: no built-in construction for ({n}, {k}); "
+                                   "supply a riwi map with --map FILE\n"), (n, k)
 
     def test_chooser_flag(self):
         got = json.loads(run("bijection", "3", "3", "--chooser", "lexmax").stdout)
@@ -298,8 +324,7 @@ class TestParserSnapshot:
             "count": [n, k, fmt],
             "bijection": [n, k, ("chooser", ("--chooser",), "lexmin", ("lexmin", "lexmax"), None, None, False),
                           ("format", ("--format",), "json", ("json", "csv", "text"), None, None, False),
-                          ("map", ("--map",), None, None, None, None, False),
-                          ("riwi", ("--riwi",), None, ("slime", "rotation"), None, None, False)],
+                          ("map", ("--map",), None, None, None, None, False)],
             "verify": [n, k, ("check", ("--check",), "all", ("all", *self.NAMES), None, None, False), fmt],
             "sweep": [("check", ("--check",), None, self.NAMES, None, None, False), fmt,
                       ("k_max", ("--k-max",), 8, None, None, "_nonneg", False),
@@ -319,6 +344,18 @@ class TestReadme:
                    if not re.search(rf"neckslime {re.escape(name)}(?![\w-])", readme)]
         assert missing == []
 
+    def test_every_example_parses(self):
+        readme = (Path(__file__).parent.parent / "README.md").read_text()
+        examples = [re.split("[#>]", line)[0] for line in
+                    re.findall(r"^(?:\$ )?neckslime (.*)$", readme, flags=re.MULTILINE)]
+        parser, failing = build_parser(), []
+        for example in examples:
+            try:
+                parser.parse_args(shlex.split(example))
+            except SystemExit:
+                failing.append(example)
+        assert examples and failing == []
+
 
 class TestExitCodes:
     def test_math_precondition_is_one(self):
@@ -327,7 +364,6 @@ class TestExitCodes:
         assert run("phi", "3,0,0,3,0,0").returncode == 1
         assert run("migrate", "2,2").returncode == 1
         assert run("verify", "4", "4", "--check", "invalid-constant").returncode == 1
-        assert run("bijection", "3", "3", "--riwi", "rotation").returncode == 1
 
     def test_usage_is_two(self):
         assert run("ws", "a,b").returncode == 2
@@ -363,6 +399,14 @@ class TestExitCodes:
             assert p.returncode == 1 and p.stdout == ""
             assert p.stderr == f"error: map file {path}: custom map lists source 1,0,2 twice\n"
 
+    def test_map_file_not_utf8_names_the_file(self, tmp_path):
+        path = tmp_path / "latin.json"
+        path.write_bytes(b"\xff\xfe[")
+        for argv in (("verify-riwi", "--map", str(path), "3", "3"), ("bijection", "3", "3", "--map", str(path))):
+            p = run(*argv)
+            assert p.returncode == 1 and p.stdout == ""
+            assert p.stderr.startswith(f"error: map file {path}: not valid JSON: 'utf-8' codec"), argv
+
     def test_malformed_map_json_is_one(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text("[1")
@@ -377,12 +421,10 @@ class TestExitCodes:
             assert p.returncode == 2 and p.stdout == "", argv
 
     def test_non_prime_length_message(self):
-        for n in ("1", "6"):
-            p = run("bijection", n, "0")
-            assert p.returncode == 1 and p.stdout == ""
-            assert p.stderr == (f"error: no built-in construction for non-prime length {n}; "
-                                "supply a riwi map with --map FILE, "
-                                "or use --riwi rotation when gcd(n, k) = 1\n")
+        assert run("bijection", "1", "0").returncode == 0
+        p = run("bijection", "6", "0")
+        assert p.returncode == 1 and p.stdout == ""
+        assert p.stderr == "error: no built-in construction for (6, 0); supply a riwi map with --map FILE\n"
 
     def test_error_messages_on_stderr(self):
         p = run("bijection", "6", "4")
