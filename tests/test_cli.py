@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import re
 import shlex
@@ -169,22 +170,29 @@ class TestBijectionCommand:
         assert p.returncode == 1 and p.stdout == ""
         assert p.stderr == f"error: map file {path}: not a riwi map at (4, 6): {first}\n"
 
+    # sha256 of the JSON tables of every prime-n or coprime cell below, in loop order
+    SMALL_CELLS_SHA256 = "f0db7bd1007b859cfb0fb7e0d738602fd7e0c84b362e97ba77e2e999fe49a388"
+
     def test_every_small_cell(self, capsys):
+        digest = hashlib.sha256()
         for n in range(1, 10):
             for k in range(10):
-                status = main(["bijection", str(n), str(k), "--format", "json"])
-                out, err = capsys.readouterr()
-                if neckslime.is_prime(n) or gcd(n, k) == 1:
-                    assert status == 0 and err == "", (n, k)
-                    pairs = json.loads(out)["pairs"]
-                    codes = [f.entries for f in neckslime.enumerate_codes(n, k, t=0)]
-                    necklaces = [m.canonical for m in neckslime.enumerate_necklaces(n, k)]
-                    assert sorted(tuple(pair["code"]) for pair in pairs) == sorted(codes), (n, k)
-                    assert sorted(tuple(pair["necklace"]) for pair in pairs) == sorted(necklaces), (n, k)
-                else:
-                    assert status == 1 and out == "", (n, k)
-                    assert err == (f"error: no built-in construction for ({n}, {k}); "
-                                   "supply a riwi map with --map FILE\n"), (n, k)
+                for chooser in ("lexmin", "lexmax"):
+                    status = main(["bijection", str(n), str(k), "--chooser", chooser, "--format", "json"])
+                    out, err = capsys.readouterr()
+                    if neckslime.is_prime(n) or gcd(n, k) == 1:
+                        assert status == 0 and err == "", (n, k, chooser)
+                        digest.update(out.encode())
+                        pairs = json.loads(out)["pairs"]
+                        codes = [f.entries for f in neckslime.enumerate_codes(n, k, t=0)]
+                        necklaces = [m.canonical for m in neckslime.enumerate_necklaces(n, k)]
+                        assert sorted(tuple(pair["code"]) for pair in pairs) == sorted(codes), (n, k)
+                        assert sorted(tuple(pair["necklace"]) for pair in pairs) == sorted(necklaces), (n, k)
+                    else:
+                        assert status == 1 and out == "", (n, k, chooser)
+                        assert err == (f"error: no built-in construction for ({n}, {k}); "
+                                       "supply a riwi map with --map FILE\n"), (n, k)
+        assert digest.hexdigest() == self.SMALL_CELLS_SHA256
 
     def test_chooser_flag(self):
         got = json.loads(run("bijection", "3", "3", "--chooser", "lexmax").stdout)
