@@ -2,6 +2,10 @@
 
 No safety check in the package is a bare ``assert``: ``python -O`` strips
 those, so a broken invariant would pass silently.  Checks raise instead.
+
+No dead code is left behind: every name a module imports is used in it or
+re-exported through ``__all__``, and every private module-level function or
+class is referenced somewhere in the package.
 """
 
 from __future__ import annotations
@@ -10,13 +14,55 @@ import ast
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "neckslime"
+MODULES = {path.name: ast.parse(path.read_text(), filename=str(path)) for path in sorted(SRC.glob("*.py"))}
+
+
+def _exported(tree: ast.Module) -> set[str]:
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__" for t in node.targets):
+            return set(ast.literal_eval(node.value))
+    return set()
+
+
+def _references(tree: ast.AST) -> set[str]:
+    """Names loaded anywhere in ``tree``, as bare names or attributes."""
+    return ({node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+            | {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)})
 
 
 def test_no_assert_statements():
     found = [
-        f"{path.name}:{node.lineno}"
-        for path in sorted(SRC.glob("*.py"))
-        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        f"{name}:{node.lineno}"
+        for name, tree in MODULES.items()
+        for node in ast.walk(tree)
         if isinstance(node, ast.Assert)
     ]
-    assert list(SRC.glob("*.py")) and found == []
+    assert MODULES and found == []
+
+
+def test_every_import_is_used():
+    unused = []
+    for name, tree in MODULES.items():
+        used = _references(tree) | _exported(tree)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    bound = alias.asname or alias.name.split(".")[0]
+                    if bound not in used:
+                        unused.append(f"{name}:{node.lineno} {bound}")
+    assert unused == []
+
+
+def test_every_private_definition_is_referenced():
+    used = set().union(*(_references(tree) for tree in MODULES.values()))
+    defs = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    dead = [
+        f"{name}:{node.lineno} {node.name}"
+        for name, tree in MODULES.items()
+        for node in tree.body
+        if isinstance(node, defs) and node.name.startswith("_") and not node.name.startswith("__")
+        and node.name not in used
+    ]
+    assert dead == []
