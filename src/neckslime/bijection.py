@@ -15,17 +15,10 @@ with the necklace of chi^i applied to that representative:
 
 Running this over every neck-class of the zero residue class yields a
 bijection between the full-period zero-residue codes and the full-period
-necklaces.  Two riwi constructions are provided:
-
-  * a rotation power, available whenever gcd(n, k) = 1;
-  * the slime unit migration, available for odd prime n.
-
-For prime n the sigma table extends to all of F_{n,k,0}: the only code of
-period < n is the constant one (present exactly when n | k), and it pairs
-with the constant necklace.  :func:`build_sigma` adds that pair at every
-length n > 1 where the constant code is zero-residue.  For n = 2 slime
-machinery is useless (every length-2 code is invalid), so even k is handled
-by an explicit parity rule; odd k falls back to the rotation construction.
+necklaces.  At prime n the only other code is the constant one (present
+when n | k); it pairs with the constant necklace, so the table covers all of
+F_{n,k,0}.  :func:`sigma_table` holds the rule that picks the built-in
+construction of a cell.
 
 Representatives default to the lexicographically smallest orbit member so
 emitted tables are reproducible; the chooser is recorded in the table
@@ -59,7 +52,7 @@ class RiwiMap:
 
     ``apply`` and ``invert`` take and return entry tuples, such as
     ``code.entries``, and raise ``ValueError`` where the map is undefined.
-    ``descriptor`` names the construction ("rotation", "slime", or
+    ``descriptor`` names the construction ("rotation", "slime", "none" or
     "custom:<name>") and is stamped into emitted tables.
     """
 
@@ -196,6 +189,14 @@ class BijectionTable:
 _CHOOSERS: dict[str, Callable] = {"lexmin": min, "lexmax": max}
 
 
+def _pick(chooser: str) -> Callable:
+    """The representative chooser named ``chooser``."""
+    try:
+        return _CHOOSERS[chooser]
+    except KeyError:
+        raise ValueError(f"unknown representative chooser {chooser!r}") from None
+
+
 def build_sigma(n: int, k: int, chi: RiwiMap, chooser: str = "lexmin") -> BijectionTable:
     """The sigma construction over the full-period zero-residue codes, plus the constant code.
 
@@ -212,9 +213,9 @@ def build_sigma(n: int, k: int, chi: RiwiMap, chooser: str = "lexmin") -> Biject
     out sorted by code, so equal inputs give byte-equal tables.
     Bijectivity is certified downstream, not here.
     """
-    if chooser not in _CHOOSERS:
-        raise ValueError(f"unknown representative chooser {chooser!r}")
-    pick = _CHOOSERS[chooser]
+    if n < 1 or k < 0:
+        raise ValueError(f"build_sigma: need n >= 1 and k >= 0, got ({n}, {k})")
+    pick = _pick(chooser)
     g = gcd(n, k)
     q = n // g
     step = pow(k // g, -1, q)
@@ -238,39 +239,46 @@ def build_sigma(n: int, k: int, chi: RiwiMap, chooser: str = "lexmin") -> Biject
     return BijectionTable(n=n, k=k, riwi=chi.descriptor, chooser=chooser, pairs=tuple(pairs))
 
 
-def prime_bijection(n: int, k: int, chooser: str = "lexmin") -> BijectionTable:
-    """The total bijection F_{n,k,0} -> necklaces for prime n.
+def _no_image(e: tuple[int, ...]) -> tuple[int, ...]:
+    raise ValueError(f"no riwi map at content 0, so {Code._trusted(e)} has no image")
 
-    Odd primes run :func:`build_sigma` with the slime riwi map (the
-    constant code is the only non-full-period case a prime length admits).
-    n = 2 uses the parity rule for even k and the rotation map for odd k.
+
+def sigma_table(n: int, k: int, chooser: str = "lexmin") -> BijectionTable:
+    """The sigma table at (n, k) by the first built-in construction the cell admits.
+
+    * n = 2, even k: every length-2 code is invalid and rotation preserves
+      the residue, so no riwi map exists.  A parity rule pairs each
+      zero-residue code (x, y) with the necklace of (x, y) when x >= y and
+      of (y-1, x+1) otherwise; the chooser is recorded but plays no role.
+    * odd prime n: the slime riwi map.
+    * gcd(n, k) = 1: the rotation riwi map.
+    * k = 0: the constant code is the only code and :func:`build_sigma`
+      pairs it by itself, so the map, named ``none``, is never applied.
+    * any other cell has no built-in construction: ``ValueError``.
     """
+    if n == 2 and k % 2 == 0:
+        _pick(chooser)
+        pairs = []
+        for f in enumerate_codes(2, k, t=0):
+            x, y = f.entries
+            pairs.append((f, canonicalize(f if x >= y else Code((y - 1, x + 1)))))
+        return BijectionTable(n=2, k=k, riwi="custom:n2-parity", chooser=chooser, pairs=tuple(pairs))
+    if n > 2 and is_prime(n):
+        chi = riwi_slime(n, k)
+    elif gcd(n, k) == 1:
+        chi = riwi_rotation(n, k)
+    elif k == 0:
+        chi = RiwiMap(descriptor="none", apply=_no_image, invert=_no_image)
+    else:
+        raise ValueError(f"no built-in construction for ({n}, {k}); supply a riwi map with --map FILE")
+    return build_sigma(n, k, chi, chooser)
+
+
+def prime_bijection(n: int, k: int, chooser: str = "lexmin") -> BijectionTable:
+    """The total bijection F_{n,k,0} -> necklaces for prime n, by :func:`sigma_table`."""
     if not is_prime(n):
         raise ValueError(f"prime_bijection needs prime n, got {n}")
-    if k < 0:
-        raise ValueError(f"prime_bijection: need k >= 0, got {k}")
-    if n == 2 and k % 2 == 0:
-        return _n2_parity_table(k, chooser)
-    return build_sigma(n, k, riwi_rotation(2, k) if n == 2 else riwi_slime(n, k), chooser)
-
-
-def _n2_parity_table(k: int, chooser: str) -> BijectionTable:
-    """Length-2 bijection for even k, where no riwi map can exist.
-
-    Every length-2 code is invalid and rotation preserves the residue, so
-    the sigma construction has nothing to work with.  Instead each
-    zero-residue code (x, y) pairs with the necklace of (x, y) when x >= y
-    and of (y-1, x+1) otherwise; the chooser is recorded for metadata
-    symmetry but plays no role.
-    """
-    if chooser not in _CHOOSERS:
-        raise ValueError(f"unknown representative chooser {chooser!r}")
-    pairs = []
-    for f in enumerate_codes(2, k, t=0):
-        x, y = f.entries
-        target = f if x >= y else Code((y - 1, x + 1))
-        pairs.append((f, canonicalize(target)))
-    return BijectionTable(n=2, k=k, riwi="custom:n2-parity", chooser=chooser, pairs=tuple(pairs))
+    return sigma_table(n, k, chooser)
 
 
 @dataclass(slots=True)

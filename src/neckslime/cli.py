@@ -9,7 +9,7 @@ terse human-readable lines, and bijection tables additionally offer CSV.
 in JSON mode one line per certificate (``sweep`` prints and flushes each as
 soon as its check has finished); in text mode the summary table, then each
 counterexample of a failed certificate.  ``bijection`` takes a ``--map``
-file that passes ``verify_riwi``, else works out its map from (n, k).
+file that passes ``verify_riwi``, else runs ``sigma_table`` at (n, k).
 
 Exit codes: 0 success / verified; 1 verification failure, a mathematical
 precondition violated (a cell with no built-in construction, migrating
@@ -29,10 +29,9 @@ import csv
 import json
 import os
 import sys
-from math import gcd
 from typing import Iterable
 
-from .bijection import build_sigma, load_riwi_map, prime_bijection, riwi_rotation, verify_riwi
+from .bijection import build_sigma, load_riwi_map, sigma_table, verify_riwi
 from .certify import CHECKS, Certificate, Envelope, check_riwi, run_cell, run_sweep, summarize
 from .codes import Code, enumerate_codes, is_prime
 from .necklaces import canonicalize, code_to_word, count_necklaces, enumerate_necklaces, word_to_code
@@ -160,18 +159,14 @@ def _cmd_count(args: argparse.Namespace) -> int:
 
 def _cmd_bijection(args: argparse.Namespace) -> int:
     n, k = args.n, args.k
-    if args.map is not None:
+    if args.map is None:
+        table = sigma_table(n, k, args.chooser)
+    else:
         chi = load_riwi_map(args.map)
         tally = verify_riwi(chi, n, k)
         if not tally.passed:
             raise ValueError(f"map file {args.map}: not a riwi map at ({n}, {k}): {tally.failures[0]}")
         table = build_sigma(n, k, chi, args.chooser)
-    elif is_prime(n):
-        table = prime_bijection(n, k, args.chooser)
-    elif gcd(n, k) == 1:
-        table = build_sigma(n, k, riwi_rotation(n, k), args.chooser)
-    else:
-        raise ValueError(f"no built-in construction for ({n}, {k}); supply a riwi map with --map FILE")
     if args.format == "json":
         print(json.dumps(table.to_json_dict()))
     elif args.format == "csv":

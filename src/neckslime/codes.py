@@ -37,21 +37,23 @@ def divisors(n: int) -> list[int]:
     return [d for d in range(1, n + 1) if n % d == 0]
 
 
-def is_prime(n: int) -> bool:
-    if n < 2:
-        return False
+def _prime_factors(n: int) -> list[int]:
+    """The distinct primes dividing ``n``, ascending, by trial division."""
+    primes = []
     p = 2
     while p * p <= n:
         if n % p == 0:
-            return False
+            primes.append(p)
+            while n % p == 0:
+                n //= p
         p += 1
-    return True
+    if n > 1:
+        primes.append(n)
+    return primes
 
 
-def _period_primes(n: int, k: int) -> list[int]:
-    """The primes dividing gcd(n, k), by the period rule in the module docstring."""
-    g = gcd(n, k)
-    return [p for p in range(2, g + 1) if g % p == 0 and is_prime(p)]
+def is_prime(n: int) -> bool:
+    return n >= 2 and _prime_factors(n) == [n]
 
 
 def weighted_sum(entries: tuple[int, ...]) -> int:
@@ -121,7 +123,7 @@ class Code:
         """Smallest divisor ``d`` of ``n`` such that the code repeats every ``d`` steps."""
         e = self.entries
         d = len(e)
-        for p in _period_primes(d, sum(e)):
+        for p in _prime_factors(gcd(d, sum(e))):
             # the periods of a code are closed under gcd, so one prime at a time
             while d % p == 0 and e == e[d // p:] + e[:d // p]:
                 d //= p
@@ -165,7 +167,7 @@ def enumerate_codes(
         raise ValueError(f"enumerate_codes: need k >= 0, got {k}")
     if t is not None:
         t %= n
-    shifts = [n // p for p in _period_primes(n, k)] if full_period_only else []
+    shifts = [n // p for p in _prime_factors(gcd(n, k))] if full_period_only else []
     for entries in _compositions(n, k):
         if t is not None and weighted_sum(entries) != t:
             continue

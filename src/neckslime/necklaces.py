@@ -27,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import comb, gcd
 
-from .codes import Code, divisors
+from .codes import Code, _prime_factors, divisors
 
 
 class NecklaceCountError(ValueError):
@@ -35,20 +35,12 @@ class NecklaceCountError(ValueError):
 
 
 def euler_phi(n: int) -> int:
-    """Count of integers in 1..n coprime to n, by trial-division factoring."""
+    """Count of integers in 1..n coprime to n: n times (1 - 1/p) over the primes p dividing n."""
     if n < 1:
         raise ValueError(f"euler_phi: need n >= 1, got {n}")
     result = n
-    m = n
-    p = 2
-    while p * p <= m:
-        if m % p == 0:
-            while m % p == 0:
-                m //= p
-            result -= result // p
-        p += 1
-    if m > 1:
-        result -= result // m
+    for p in _prime_factors(n):
+        result -= result // p
     return result
 
 

@@ -21,7 +21,7 @@ from neckslime import (
     unit_migration,
     verify_riwi,
 )
-from neckslime.bijection import DETAIL_CAP
+from neckslime.bijection import DETAIL_CAP, sigma_table
 from neckslime.certify import check_riwi
 from neckslime.codes import weighted_sum
 
@@ -309,6 +309,13 @@ class TestBuildSigma:
     def test_unknown_chooser(self):
         with pytest.raises(ValueError):
             build_sigma(3, 3, riwi_slime(3, 3), chooser="median")
+        with pytest.raises(ValueError, match="unknown representative chooser 'median'"):
+            sigma_table(2, 4, chooser="median")  # the n = 2 parity table skips build_sigma
+
+    @pytest.mark.parametrize("n,k", [(0, 0), (0, 3), (-2, 3), (3, -3), (4, -1)])
+    def test_cell_out_of_range(self, n, k):
+        with pytest.raises(ValueError, match=r"build_sigma: need n >= 1 and k >= 0"):
+            build_sigma(n, k, IDENTITY)
 
     def test_metadata(self):
         table = build_sigma(3, 3, riwi_slime(3, 3), chooser="lexmax")
@@ -357,6 +364,11 @@ class TestPrimeBijection:
         for n in (1, 4, 6, 9):
             with pytest.raises(ValueError):
                 prime_bijection(n, 3)
+
+    @pytest.mark.parametrize("n,k", [(2, -2), (2, -1), (3, -3), (5, -1)])
+    def test_negative_content_rejected(self, n, k):
+        with pytest.raises(ValueError):
+            prime_bijection(n, k)
 
     @pytest.mark.parametrize("n,k", [(2, 0), (2, 7), (3, 0), (3, 6), (3, 7), (5, 5), (5, 10), (7, 4)])
     def test_bijective(self, n, k):

@@ -180,9 +180,13 @@ class TestBijectionCommand:
                 for chooser in ("lexmin", "lexmax"):
                     status = main(["bijection", str(n), str(k), "--chooser", chooser, "--format", "json"])
                     out, err = capsys.readouterr()
-                    if neckslime.is_prime(n) or gcd(n, k) == 1:
+                    pinned = neckslime.is_prime(n) or gcd(n, k) == 1
+                    if pinned or k == 0:
                         assert status == 0 and err == "", (n, k, chooser)
-                        digest.update(out.encode())
+                        if pinned:
+                            digest.update(out.encode())
+                        else:
+                            assert json.loads(out)["riwi"] == "none", (n, k, chooser)
                         pairs = json.loads(out)["pairs"]
                         codes = [f.entries for f in neckslime.enumerate_codes(n, k, t=0)]
                         necklaces = [m.canonical for m in neckslime.enumerate_necklaces(n, k)]
@@ -430,9 +434,9 @@ class TestExitCodes:
 
     def test_non_prime_length_message(self):
         assert run("bijection", "1", "0").returncode == 0
-        p = run("bijection", "6", "0")
+        p = run("bijection", "6", "2")
         assert p.returncode == 1 and p.stdout == ""
-        assert p.stderr == "error: no built-in construction for (6, 0); supply a riwi map with --map FILE\n"
+        assert p.stderr == "error: no built-in construction for (6, 2); supply a riwi map with --map FILE\n"
 
     def test_error_messages_on_stderr(self):
         p = run("bijection", "6", "4")

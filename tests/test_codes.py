@@ -189,3 +189,5 @@ def test_divisors():
 
 def test_is_prime():
     assert [p for p in range(20) if is_prime(p)] == [2, 3, 5, 7, 11, 13, 17, 19]
+    for n in range(-3, 400):
+        assert is_prime(n) == (n >= 2 and all(n % d for d in range(2, n))), n

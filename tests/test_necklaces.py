@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import sys
+from math import gcd
 
 import pytest
 from hypothesis import given, strategies as st
@@ -24,6 +25,8 @@ codes = st.lists(st.integers(0, 6), min_size=1, max_size=7).map(lambda e: Code(t
 
 def test_euler_phi():
     assert [euler_phi(m) for m in range(1, 13)] == [1, 1, 2, 2, 4, 2, 6, 4, 6, 4, 10, 4]
+    for m in range(1, 400):
+        assert euler_phi(m) == sum(gcd(m, j) == 1 for j in range(1, m + 1)), m
     with pytest.raises(ValueError):
         euler_phi(0)
 
