@@ -257,7 +257,7 @@ def sigma_table(n: int, k: int, chooser: str = "lexmin") -> BijectionTable:
     * any other cell has no built-in construction: ``ValueError``.
     """
     if n == 2 and k % 2 == 0:
-        _pick(chooser)
+        _pick(chooser)  # rejects an unknown chooser, though this rule needs none
         pairs = []
         for f in enumerate_codes(2, k, t=0):
             x, y = f.entries
