@@ -256,6 +256,8 @@ def sigma_table(n: int, k: int, chooser: str = "lexmin") -> BijectionTable:
       pairs it by itself, so the map, named ``none``, is never applied.
     * any other cell has no built-in construction: ``ValueError``.
     """
+    if n < 1 or k < 0:
+        raise ValueError(f"sigma_table: need n >= 1 and k >= 0, got ({n}, {k})")
     if n == 2 and k % 2 == 0:
         _pick(chooser)  # rejects an unknown chooser, though this rule needs none
         pairs = []

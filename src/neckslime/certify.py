@@ -1,13 +1,13 @@
 """Brute-force certification of every law the library leans on.
 
 Each check exhausts one (n, k) cell and returns a :class:`Certificate`
-holding the verdict, the number of items examined, and concrete
-counterexamples when something breaks (detail strings are capped, the
-failure count is exact).  Every check collects its failures in one
-:class:`~neckslime.bijection.Tally`, the record :func:`verify_riwi` returns,
-and :func:`_certificate` turns it into the certificate.  A failing
-certificate is data, not an exception;
-exceptions are reserved for inapplicable inputs, e.g. asking for the
+holding the number of items examined, the exact failure count, and concrete
+counterexamples when something breaks (detail strings are capped); its
+verdict is ``pass`` exactly when the failure count is 0.  Every check
+collects its failures in one :class:`~neckslime.bijection.Tally`, the record
+:func:`verify_riwi` returns, and :func:`_certificate` turns it into the
+certificate.  A failing certificate is data, not an exception; exceptions
+are reserved for inapplicable inputs, e.g. asking for the
 odd-length invalidity check at even n.
 
 The default :class:`Envelope` sweeps all n, k <= 8 plus prime lengths up to
@@ -27,7 +27,7 @@ from typing import Callable, Iterator
 from .bijection import RiwiMap, Tally, prime_bijection, riwi_rotation, riwi_slime, verify_riwi
 from .codes import Code, enumerate_codes, is_prime, weighted_sum
 from .necklaces import count_necklaces, enumerate_necklaces
-from .slime import runs, step
+from .slime import _weight, runs, step
 
 
 @dataclass(frozen=True, slots=True)
@@ -35,7 +35,6 @@ class Certificate:
     check: str
     n: int
     k: int
-    verdict: str  # "pass" or "fail"
     counterexamples: tuple[str, ...]
     failure_count: int
     examined: int
@@ -44,7 +43,11 @@ class Certificate:
 
     @property
     def passed(self) -> bool:
-        return self.verdict == "pass"
+        return self.failure_count == 0
+
+    @property
+    def verdict(self) -> str:
+        return "pass" if self.passed else "fail"
 
     def to_json_dict(self) -> dict:
         return {
@@ -69,7 +72,6 @@ def _certificate(check: str, n: int, k: int, tally: Tally, t0: float, info: dict
         check=check,
         n=n,
         k=k,
-        verdict="pass" if tally.passed else "fail",
         counterexamples=tuple(tally.failures),
         failure_count=tally.failure_count,
         examined=tally.checked,
@@ -111,7 +113,7 @@ def check_migration_laws(n: int, k: int) -> Certificate:
         m, rs = runs(e)
         if rs is None:
             continue
-        w = sum(ln // 2 for _, ln in rs)
+        w = _weight(e, rs)
         if not 1 <= w <= n // 2:
             tally.fail(f"{f}: weight {w} outside [1, {n // 2}]")
         g = step(e, rs, True)
@@ -132,7 +134,7 @@ def check_migration_laws(n: int, k: int) -> Certificate:
                 tally.fail(f"{f}: {label} image changed m {m} -> {im}")
             if len(irs) != len(rs):
                 tally.fail(f"{f}: {label} image changed slime count")
-            iw = sum(ln // 2 for _, ln in irs)
+            iw = _weight(image, irs)
             if iw != w:
                 tally.fail(f"{f}: {label} image changed weight {w} -> {iw}")
         ws = weighted_sum(e)
@@ -171,16 +173,6 @@ def check_riwi(check: str, chi: RiwiMap, n: int, k: int) -> Certificate:
     """:func:`verify_riwi` of ``chi`` on one cell as a certificate named ``check``."""
     t0 = time.perf_counter()
     return _certificate(check, n, k, verify_riwi(chi, n, k), t0, {"riwi": chi.descriptor})
-
-
-def check_riwi_slime(n: int, k: int) -> Certificate:
-    """The unit-migration map satisfies all riwi properties (odd prime n)."""
-    return check_riwi("riwi-slime", riwi_slime(n, k), n, k)
-
-
-def check_riwi_rotation(n: int, k: int) -> Certificate:
-    """The rotation-power map satisfies all riwi properties (gcd(n, k) = 1)."""
-    return check_riwi("riwi-rotation", riwi_rotation(n, k), n, k)
 
 
 def check_prime_bijection(n: int, k: int) -> Certificate:
@@ -223,8 +215,10 @@ CHECKS: dict[str, tuple[Callable[[int, int], Certificate], Callable[[int, int], 
     "invalid-constant": (check_invalid_iff_constant, lambda n, k: n % 2 == 1),
     "migration-laws": (check_migration_laws, lambda n, k: True),
     "count-identity": (check_count_identity, lambda n, k: True),
-    "riwi-slime": (check_riwi_slime, lambda n, k: n != 2 and is_prime(n)),
-    "riwi-rotation": (check_riwi_rotation, lambda n, k: gcd(n, k) == 1),
+    "riwi-slime": (lambda n, k: check_riwi("riwi-slime", riwi_slime(n, k), n, k),
+                   lambda n, k: n != 2 and is_prime(n)),
+    "riwi-rotation": (lambda n, k: check_riwi("riwi-rotation", riwi_rotation(n, k), n, k),
+                      lambda n, k: gcd(n, k) == 1),
     "prime-bijection": (check_prime_bijection, lambda n, k: is_prime(n)),
 }
 
@@ -272,10 +266,10 @@ def run_sweep(envelope: Envelope | None = None, checks: list[str] | None = None)
     """Every applicable check over every cell of the envelope, yielded as each one finishes.
 
     Check names are resolved on the call, so an unknown one raises
-    ``KeyError`` before any check runs.
+    ``KeyError`` before any check runs; a repeated one runs once.
     """
     envelope = envelope or Envelope()
-    selected = [_lookup(name) for name in (CHECKS if checks is None else checks)]
+    selected = [_lookup(name) for name in dict.fromkeys(CHECKS if checks is None else checks)]
     return (func(n, k) for n, k in envelope.cells() for func, applies in selected if applies(n, k))
 
 

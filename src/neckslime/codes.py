@@ -129,9 +129,6 @@ class Code:
                 d //= p
         return d
 
-    def is_constant(self) -> bool:
-        return self.period() == 1
-
     @classmethod
     def parse(cls, literal: str) -> "Code":
         """Parse a comma-separated literal such as ``"3,0,0"``."""

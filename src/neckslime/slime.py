@@ -59,16 +59,17 @@ class Slime:
     start: int
     length: int
 
-    def positions(self, n: int) -> tuple[int, ...]:
-        return tuple((self.start + i) % n for i in range(self.length))
-
 
 @dataclass(frozen=True, slots=True)
 class SlimeDecomposition:
     code: Code
     m: int
-    valid: bool
     slimes: tuple[Slime, ...]
+
+    @property
+    def valid(self) -> bool:
+        """Whether the code has a slime, i.e. some pair sum falls below ``m``."""
+        return bool(self.slimes)
 
     @property
     def weight(self) -> int:
@@ -119,9 +120,7 @@ def decompose(code: Code) -> SlimeDecomposition:
     pair sum equal, which is always the case for n <= 2) carries no slimes.
     """
     m, rs = runs(code.entries)
-    if rs is None:
-        return SlimeDecomposition(code=code, m=m, valid=False, slimes=())
-    return SlimeDecomposition(code=code, m=m, valid=True, slimes=tuple(Slime(s, ln) for s, ln in rs))
+    return SlimeDecomposition(code=code, m=m, slimes=tuple(Slime(s, ln) for s, ln in rs or ()))
 
 
 def is_valid(code: Code) -> bool:

@@ -100,7 +100,7 @@ def test_criterion_06_odd_invalidity_characterization():
     for n in (1, 3, 5, 7, 9):
         for k in range(10):
             for f in enumerate_codes(n, k):
-                assert (not is_valid(f)) == f.is_constant(), f
+                assert (not is_valid(f)) == (f.period() == 1), f
 
 
 def test_criterion_07_riwi_certification():

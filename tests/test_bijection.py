@@ -317,6 +317,12 @@ class TestBuildSigma:
         with pytest.raises(ValueError, match=r"build_sigma: need n >= 1 and k >= 0"):
             build_sigma(n, k, IDENTITY)
 
+    @pytest.mark.parametrize("n,k", [(0, 3), (0, 1), (-1, 0), (0, 0), (3, -1), (4, -1), (2, -2)])
+    def test_sigma_table_cell_out_of_range(self, n, k):
+        with pytest.raises(ValueError) as info:
+            sigma_table(n, k)
+        assert str(info.value) == f"sigma_table: need n >= 1 and k >= 0, got ({n}, {k})"
+
     def test_metadata(self):
         table = build_sigma(3, 3, riwi_slime(3, 3), chooser="lexmax")
         assert table.riwi == "slime" and table.chooser == "lexmax"

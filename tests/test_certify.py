@@ -24,8 +24,6 @@ from neckslime.certify import (
     check_invalid_iff_constant,
     check_migration_laws,
     check_prime_bijection,
-    check_riwi_rotation,
-    check_riwi_slime,
 )
 
 
@@ -99,21 +97,23 @@ class TestCountIdentity:
 class TestRiwiChecks:
     def test_slime_cells(self):
         for n, k in [(3, 3), (3, 7), (5, 5), (7, 3), (11, 2)]:
-            assert check_riwi_slime(n, k).passed
+            [cert] = run_cell(n, k, "riwi-slime")
+            assert cert.passed and cert.check == "riwi-slime" and cert.info == {"riwi": "slime"}
 
     def test_slime_composite_rejected(self):
         with pytest.raises(ValueError):
-            check_riwi_slime(9, 2)
+            run_cell(9, 2, "riwi-slime")
         with pytest.raises(ValueError):
-            check_riwi_slime(2, 3)
+            run_cell(2, 3, "riwi-slime")
 
     def test_rotation_cells(self):
         for n, k in [(3, 7), (4, 3), (6, 5), (8, 3)]:
-            assert check_riwi_rotation(n, k).passed
+            [cert] = run_cell(n, k, "riwi-rotation")
+            assert cert.passed and cert.check == "riwi-rotation" and cert.info == {"riwi": "rotation"}
 
     def test_rotation_noncoprime_rejected(self):
         with pytest.raises(ValueError):
-            check_riwi_rotation(6, 4)
+            run_cell(6, 4, "riwi-rotation")
 
 
 class TestPrimeBijectionCheck:
@@ -169,12 +169,16 @@ class TestCertificateShape:
 
     def test_fail_carries_counterexample(self):
         cert = Certificate(
-            check="demo", n=3, k=3, verdict="fail",
+            check="demo", n=3, k=3,
             counterexamples=("1,1,1: broke",), failure_count=1,
             examined=10, elapsed_s=0.0,
         )
-        assert not cert.passed
+        assert not cert.passed and cert.verdict == "fail"
         assert cert.counterexamples
+        d = cert.to_json_dict()
+        assert list(d) == ["check", "n", "k", "verdict", "counterexamples",
+                           "failure_count", "examined", "elapsed_s", "info"]
+        assert d["verdict"] == "fail"
 
     def test_summarize(self):
         text = summarize([check_invalid_iff_constant(3, 3)])
@@ -216,6 +220,12 @@ class TestEnvelope:
     def test_repeated_extra_swept_once(self):
         cells = list(Envelope(n_max=1, k_max=1, prime_extra=(5, 5)).cells())
         assert cells == [(1, 0), (1, 1), (5, 0), (5, 1)]
+
+    def test_repeated_check_runs_once(self):
+        envelope = Envelope(n_max=2, k_max=1, prime_extra=())
+        once = [(c.check, c.n, c.k) for c in run_sweep(envelope, ["count-identity"])]
+        twice = [(c.check, c.n, c.k) for c in run_sweep(envelope, ["count-identity", "count-identity"])]
+        assert len(once) == 4 and twice == once
 
 
 class TestRunners:

@@ -4,8 +4,9 @@ No safety check in the package is a bare ``assert``: ``python -O`` strips
 those, so a broken invariant would pass silently.  Checks raise instead.
 
 No dead code is left behind: every name a module imports is used in it or
-re-exported through ``__all__``, and every private module-level function or
-class is referenced somewhere in the package.
+re-exported through ``__all__``, every private module-level function or
+class is referenced somewhere in the package, and every public method or
+property is referenced in the package or the benchmark harness.
 """
 
 from __future__ import annotations
@@ -13,8 +14,10 @@ from __future__ import annotations
 import ast
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "neckslime"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "neckslime"
 MODULES = {path.name: ast.parse(path.read_text(), filename=str(path)) for path in sorted(SRC.glob("*.py"))}
+PERFBENCH = [ast.parse(path.read_text(), filename=str(path)) for path in sorted((ROOT / "perfbench").glob("*.py"))]
 
 
 def _exported(tree: ast.Module) -> set[str]:
@@ -66,3 +69,17 @@ def test_every_private_definition_is_referenced():
         and node.name not in used
     ]
     assert dead == []
+
+
+def test_every_public_method_is_referenced():
+    used = set().union(*(_references(tree) for tree in [*MODULES.values(), *PERFBENCH]))
+    dead = [
+        f"{name}:{node.lineno} {cls.name}.{node.name}"
+        for name, tree in MODULES.items()
+        for cls in ast.walk(tree)
+        if isinstance(cls, ast.ClassDef)
+        for node in cls.body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and not node.name.startswith("_")
+        and node.name not in used
+    ]
+    assert PERFBENCH and dead == []

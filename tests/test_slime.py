@@ -99,7 +99,7 @@ class TestDecompose:
         covered = []
         for s in dec.slimes:
             assert 2 <= s.length <= n
-            pos = s.positions(n)
+            pos = [(s.start + i) % n for i in range(s.length)]
             covered.extend(pos)
             # alternating a, b with every adjacent pair summing to m
             for i in range(s.length - 1):
@@ -177,7 +177,7 @@ class TestOddLengthInvalidity:
         from neckslime import enumerate_codes
 
         for f in enumerate_codes(n, k):
-            assert (not is_valid(f)) == f.is_constant()
+            assert (not is_valid(f)) == (f.period() == 1)
 
 
 class TestUnitMigration:
