@@ -29,7 +29,6 @@ from .slime import (
     Slime,
     SlimeDecomposition,
     decompose,
-    is_valid,
     migrate_backward,
     migrate_forward,
     unit_migration,
@@ -62,7 +61,6 @@ __all__ = [
     "enumerate_necklaces",
     "euler_phi",
     "is_prime",
-    "is_valid",
     "load_riwi_map",
     "migrate_backward",
     "migrate_forward",

@@ -32,7 +32,7 @@ Map files are validated through ``Code(...)`` when they are loaded.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import partial
 from math import gcd
 from pathlib import Path
@@ -243,13 +243,20 @@ def _no_image(e: tuple[int, ...]) -> tuple[int, ...]:
     raise ValueError(f"no riwi map at content 0, so {Code._trusted(e)} has no image")
 
 
+_N2_PARITY = RiwiMap(descriptor="custom:n2-parity", apply=lambda e: (e[0] - 1, e[1] + 1),
+                     invert=lambda e: (e[0] + 1, e[1] - 1))
+
+
 def sigma_table(n: int, k: int, chooser: str = "lexmin") -> BijectionTable:
     """The sigma table at (n, k) by the first built-in construction the cell admits.
 
     * n = 2, even k: every length-2 code is invalid and rotation preserves
-      the residue, so no riwi map exists.  A parity rule pairs each
-      zero-residue code (x, y) with the necklace of (x, y) when x >= y and
-      of (y-1, x+1) otherwise; the chooser is recorded but plays no role.
+      the residue, so no riwi map exists.  The parity rule is the sigma
+      construction under chi(a, b) = (a - 1, b + 1), which raises ws by 1
+      but is not rotation invariant, so the anchor is fixed at the larger
+      rotation, where chi stays nonnegative; the chooser is only recorded.
+      It pairs (x, y) with the necklace of (x, y) when x >= y and of
+      (y-1, x+1) otherwise.
     * odd prime n: the slime riwi map.
     * gcd(n, k) = 1: the rotation riwi map.
     * k = 0: the constant code is the only code and :func:`build_sigma`
@@ -259,12 +266,8 @@ def sigma_table(n: int, k: int, chooser: str = "lexmin") -> BijectionTable:
     if n < 1 or k < 0:
         raise ValueError(f"sigma_table: need n >= 1 and k >= 0, got ({n}, {k})")
     if n == 2 and k % 2 == 0:
-        _pick(chooser)  # rejects an unknown chooser, though this rule needs none
-        pairs = []
-        for f in enumerate_codes(2, k, t=0):
-            x, y = f.entries
-            pairs.append((f, canonicalize(f if x >= y else Code((y - 1, x + 1)))))
-        return BijectionTable(n=2, k=k, riwi="custom:n2-parity", chooser=chooser, pairs=tuple(pairs))
+        _pick(chooser)  # rejects an unknown chooser, though this rule ignores it
+        return replace(build_sigma(2, k, _N2_PARITY, "lexmax"), chooser=chooser)
     if n > 2 and is_prime(n):
         chi = riwi_slime(n, k)
     elif gcd(n, k) == 1:

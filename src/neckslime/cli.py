@@ -93,20 +93,15 @@ def _cmd_phi(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_ws(args: argparse.Namespace) -> int:
-    t = args.code.weighted_sum()
-    print(json.dumps({"ws": t}) if args.format == "json" else t)
+def _cmd_value(args: argparse.Namespace) -> int:
+    """Print ``args.value`` of the code, keyed in JSON by the command name."""
+    value = args.value(args.code)
+    print(json.dumps({args.command: value}) if args.format == "json" else value)
     return 0
 
 
 def _cmd_rotate(args: argparse.Namespace) -> int:
     _print_code(args.code.rotate(args.steps), args.format)
-    return 0
-
-
-def _cmd_period(args: argparse.Namespace) -> int:
-    d = args.code.period()
-    print(json.dumps({"period": d}) if args.format == "json" else d)
     return 0
 
 
@@ -116,12 +111,6 @@ def _cmd_canon(args: argparse.Namespace) -> int:
         print(json.dumps(neck.to_json_dict()))
     else:
         print(",".join(str(v) for v in neck.canonical))
-    return 0
-
-
-def _cmd_word(args: argparse.Namespace) -> int:
-    w = code_to_word(args.code)
-    print(json.dumps({"word": w}) if args.format == "json" else w)
     return 0
 
 
@@ -235,20 +224,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_phi)
 
     p = sub.add_parser("ws", parents=[code, fmt], help="weighted-sum residue of a code")
-    p.set_defaults(func=_cmd_ws)
+    p.set_defaults(func=_cmd_value, value=Code.weighted_sum)
 
     p = sub.add_parser("rotate", parents=[code, fmt], help="rotate a code left by a step count")
     p.add_argument("--steps", type=int, default=1)
     p.set_defaults(func=_cmd_rotate)
 
     p = sub.add_parser("period", parents=[code, fmt], help="smallest repetition period of a code")
-    p.set_defaults(func=_cmd_period)
+    p.set_defaults(func=_cmd_value, value=Code.period)
 
     p = sub.add_parser("canon", parents=[code, fmt], help="canonical necklace of a code")
     p.set_defaults(func=_cmd_canon)
 
     p = sub.add_parser("word", parents=[code, fmt], help="bead word of a code")
-    p.set_defaults(func=_cmd_word)
+    p.set_defaults(func=_cmd_value, value=code_to_word)
 
     p = sub.add_parser("unword", parents=[fmt], help="gap code of a bead word")
     p.add_argument("word")

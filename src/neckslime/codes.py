@@ -24,6 +24,7 @@ lexicographic order to keep downstream tables reproducible.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from math import gcd
 from operator import mul
@@ -131,12 +132,14 @@ class Code:
 
     @classmethod
     def parse(cls, literal: str) -> "Code":
-        """Parse a comma-separated literal such as ``"3,0,0"``."""
-        try:
-            values = tuple(int(part) for part in literal.split(","))
-        except ValueError:
-            raise ValueError(f"malformed code literal {literal!r}") from None
-        return cls(values)
+        """Parse a literal of comma-separated ASCII decimal entries such as ``"3,0,0"``.
+
+        Nothing else is read as a number: no sign, space, underscore or
+        non-ASCII digit, all of which ``int()`` would accept.
+        """
+        if not re.fullmatch(r"[0-9]+(,[0-9]+)*", literal):
+            raise ValueError(f"malformed code literal {literal!r}")
+        return cls(tuple(map(int, literal.split(","))))
 
     def __str__(self) -> str:
         return ",".join(str(v) for v in self.entries)

@@ -55,19 +55,8 @@ class Necklace:
     canonical: tuple[int, ...]
 
     @property
-    def n(self) -> int:
-        return len(self.canonical)
-
-    @property
-    def k(self) -> int:
-        return sum(self.canonical)
-
-    @property
     def word(self) -> str:
         return code_to_word(Code._trusted(self.canonical))
-
-    def period(self) -> int:
-        return Code._trusted(self.canonical).period()
 
     def to_json_dict(self) -> dict:
         return {"canonical": list(self.canonical), "word": self.word}

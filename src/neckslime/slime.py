@@ -40,6 +40,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import gcd
+from typing import NamedTuple
 
 from .codes import Code
 
@@ -52,8 +53,7 @@ class NonCoprimeWeightError(ValueError):
     """Raised when the unit move needs w(f) invertible mod n and it is not."""
 
 
-@dataclass(frozen=True, slots=True)
-class Slime:
+class Slime(NamedTuple):
     """One maximal hot run: ``length`` entries starting at position ``start``."""
 
     start: int
@@ -73,9 +73,7 @@ class SlimeDecomposition:
 
     @property
     def weight(self) -> int:
-        if not self.valid:
-            raise InvalidCodeError(f"code {self.code} has no weight: all pair sums equal")
-        return sum(s.length // 2 for s in self.slimes)
+        return _weight(self.code.entries, self.slimes)
 
     def to_json_dict(self) -> dict:
         out: dict = {"m": self.m, "valid": self.valid}
@@ -120,11 +118,7 @@ def decompose(code: Code) -> SlimeDecomposition:
     pair sum equal, which is always the case for n <= 2) carries no slimes.
     """
     m, rs = runs(code.entries)
-    return SlimeDecomposition(code=code, m=m, slimes=tuple(Slime(s, ln) for s, ln in rs or ()))
-
-
-def is_valid(code: Code) -> bool:
-    return runs(code.entries)[1] is not None
+    return SlimeDecomposition(code=code, m=m, slimes=tuple(map(Slime._make, rs or ())))
 
 
 def weight(code: Code) -> int:
@@ -132,7 +126,7 @@ def weight(code: Code) -> int:
 
 
 def _weight(entries: tuple[int, ...], rs: tuple[tuple[int, int], ...] | None) -> int:
-    if rs is None:
+    if not rs:
         raise InvalidCodeError(f"code {Code._trusted(entries)} has no weight: all pair sums equal")
     return sum(ln // 2 for _, ln in rs)
 

@@ -95,12 +95,10 @@ def test_criterion_05_migration_law_suite():
 
 
 def test_criterion_06_odd_invalidity_characterization():
-    from neckslime import is_valid
-
     for n in (1, 3, 5, 7, 9):
         for k in range(10):
             for f in enumerate_codes(n, k):
-                assert (not is_valid(f)) == (f.period() == 1), f
+                assert (not decompose(f).valid) == (f.period() == 1), f
 
 
 def test_criterion_07_riwi_certification():

@@ -310,7 +310,7 @@ class TestBuildSigma:
         with pytest.raises(ValueError):
             build_sigma(3, 3, riwi_slime(3, 3), chooser="median")
         with pytest.raises(ValueError, match="unknown representative chooser 'median'"):
-            sigma_table(2, 4, chooser="median")  # the n = 2 parity table skips build_sigma
+            sigma_table(2, 4, chooser="median")  # the n = 2 parity table records but ignores it
 
     @pytest.mark.parametrize("n,k", [(0, 0), (0, 3), (-2, 3), (3, -3), (4, -1)])
     def test_cell_out_of_range(self, n, k):
@@ -364,7 +364,17 @@ class TestPrimeBijection:
         }
 
     def test_n2_even_descriptor(self):
-        assert prime_bijection(2, 4).riwi == "custom:n2-parity"
+        # the parity rule written out, at even k beyond test_every_small_cell's k <= 9
+        def rule(x: int, y: int) -> tuple[int, int]:
+            image = (x, y) if x >= y else (y - 1, x + 1)
+            return min(image, image[::-1])
+
+        for k in range(0, 61, 2):
+            want = [((x, k - x), rule(x, k - x)) for x in range(0, k + 1, 2)]
+            for chooser in ("lexmin", "lexmax"):
+                table = prime_bijection(2, k, chooser)
+                assert table.riwi == "custom:n2-parity" and table.chooser == chooser
+                assert [(c.entries, m.canonical) for c, m in table.pairs] == want, (k, chooser)
 
     def test_composite_rejected(self):
         for n in (1, 4, 6, 9):

@@ -10,8 +10,10 @@ import sys
 from math import gcd
 from pathlib import Path
 
+import pytest
+
 import neckslime
-from neckslime import Envelope, load_riwi_map, run_sweep
+from neckslime import Code, Envelope, load_riwi_map, run_sweep
 from neckslime.certify import check_riwi
 from neckslime.cli import build_parser, main
 
@@ -384,6 +386,14 @@ class TestExitCodes:
         assert run("verify", "3", "3", "--check", "nope").returncode == 2
         assert run("bijection", "3").returncode == 2
         assert run("bijection", "3", "3", "--riwi", "slime", "--map", "m.json").returncode == 2
+
+    def test_loose_code_literals_are_two(self):
+        # int() reads each of these, the first as 10
+        for literal in ("1_0,2", " 1,2", "+1,2", "\u0661,\u0662", "1,2 "):
+            with pytest.raises(ValueError, match="malformed code literal"):
+                Code.parse(literal)
+            p = run("ws", "--format", "text", literal)
+            assert p.returncode == 2 and p.stdout == "", literal
 
     def test_missing_map_file_is_one(self):
         assert run("verify-riwi", "--map", "/nonexistent.json", "3", "3").returncode == 1

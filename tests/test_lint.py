@@ -5,8 +5,11 @@ those, so a broken invariant would pass silently.  Checks raise instead.
 
 No dead code is left behind: every name a module imports is used in it or
 re-exported through ``__all__``, every private module-level function or
-class is referenced somewhere in the package, and every public method or
-property is referenced in the package or the benchmark harness.
+class is referenced somewhere in the package, and every public function,
+method or property is referenced in the package or the benchmark harness.
+
+``Code(...)`` validates its entries, so the package calls it only where
+outside input arrives; everything built inside uses ``Code._trusted``.
 """
 
 from __future__ import annotations
@@ -83,3 +86,36 @@ def test_every_public_method_is_referenced():
         and node.name not in used
     ]
     assert PERFBENCH and dead == []
+
+
+def test_every_public_function_is_referenced():
+    used = set().union(*(_references(tree) for tree in [*MODULES.values(), *PERFBENCH]))
+    dead = [
+        f"{name}:{node.lineno} {node.name}"
+        for name, tree in MODULES.items()
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and not node.name.startswith("_")
+        and node.name not in used
+    ]
+    assert PERFBENCH and dead == []
+
+
+def _code_calls(node: ast.AST, scope: str = "") -> list[tuple[str, int]]:
+    """(enclosing definition, line) of each ``Code(...)`` call, or ``cls(...)`` inside ``Code``, under ``node``."""
+    found = []
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            found += _code_calls(child, f"{scope}.{child.name}".lstrip("."))
+            continue
+        if isinstance(child, ast.Call) and isinstance(child.func, ast.Name) and (
+                child.func.id == "Code" or child.func.id == "cls" and scope.startswith("Code.")):
+            found.append((scope, child.lineno))
+        found += _code_calls(child, scope)
+    return found
+
+
+def test_code_validated_only_at_trust_boundaries():
+    boundaries = {"Code.parse", "load_riwi_map", "word_to_code"}
+    calls = [(name, scope, line) for name, tree in MODULES.items() for scope, line in _code_calls(tree)]
+    inside = [f"{name}:{line} {scope}" for name, scope, line in calls if scope not in boundaries]
+    assert {scope for _, scope, _ in calls} >= boundaries and inside == []

@@ -144,7 +144,7 @@ class TestEnumerate:
         full = enumerate_necklaces(3, 3, full_period_only=True)
         assert [neck.canonical for neck in full] == [(0, 0, 3), (0, 1, 2), (0, 2, 1)]
         for neck in enumerate_necklaces(6, 6, full_period_only=True):
-            assert neck.period() == 6
+            assert Code(neck.canonical).period() == 6
 
     def test_zero_class_identity_odd_n(self):
         for n in (1, 3, 5, 7):
@@ -174,7 +174,7 @@ class TestEnumerate:
         assert n > sys.getrecursionlimit()
         necks = enumerate_necklaces(n, k)
         assert len(necks) == count_necklaces(n, k)
-        assert all(neck.n == n and neck.k == k for neck in necks)
+        assert all(len(neck.canonical) == n and sum(neck.canonical) == k for neck in necks)
 
     def test_bad_args(self):
         with pytest.raises(ValueError, match="enumerate_necklaces"):
@@ -188,5 +188,5 @@ class TestEnumerate:
 
 
 def test_necklace_period_delegates():
-    assert Necklace((0, 2, 0, 2)).period() == 2
-    assert Necklace((0, 0, 3)).period() == 3
+    assert Code(Necklace((0, 2, 0, 2)).canonical).period() == 2
+    assert Code(Necklace((0, 0, 3)).canonical).period() == 3

@@ -13,7 +13,6 @@ from neckslime import (
     InvalidCodeError,
     NonCoprimeWeightError,
     decompose,
-    is_valid,
     migrate_backward,
     migrate_forward,
     unit_migration,
@@ -29,7 +28,7 @@ CHAIN1 = Code((2, 1, 1, 2, 0, 1, 0, 2, 1, 0, 1))
 CHAIN2 = Code((1, 2, 0, 3, 0, 1, 0, 1, 2, 0, 1))
 
 codes = st.lists(st.integers(0, 5), min_size=1, max_size=8).map(lambda e: Code(tuple(e)))
-valid_codes = codes.filter(is_valid)
+valid_codes = codes.filter(lambda f: decompose(f).valid)
 
 
 class TestMaxAdjacentSum:
@@ -65,12 +64,12 @@ class TestDecompose:
     def test_all_n2_invalid(self):
         for a in range(5):
             for b in range(5):
-                assert not is_valid(Code((a, b)))
-        assert not is_valid(Code((7,)))
+                assert not decompose(Code((a, b))).valid
+        assert not decompose(Code((7,))).valid
 
     def test_alternating_even_invalid(self):
-        assert not is_valid(Code((1, 0, 1, 0)))
-        assert not is_valid(Code((2, 2, 2, 2)))
+        assert not decompose(Code((1, 0, 1, 0))).valid
+        assert not decompose(Code((2, 2, 2, 2))).valid
 
     def test_wrap_covering_slime(self):
         # a single slime may cover every position as long as one pair sum drops
@@ -177,7 +176,7 @@ class TestOddLengthInvalidity:
         from neckslime import enumerate_codes
 
         for f in enumerate_codes(n, k):
-            assert (not is_valid(f)) == (f.period() == 1)
+            assert (not decompose(f).valid) == (f.period() == 1)
 
 
 class TestUnitMigration:
