@@ -1,7 +1,9 @@
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
+import io
 import json
 import re
 import shlex
@@ -13,6 +15,7 @@ from pathlib import Path
 import pytest
 
 import neckslime
+import neckslime.cli
 from neckslime import Code, Envelope, load_riwi_map, run_sweep
 from neckslime.certify import check_riwi
 from neckslime.cli import build_parser, main
@@ -114,6 +117,33 @@ class TestEnumCount:
     def test_count_json(self):
         got = json.loads(run("count", "5", "10").stdout)
         assert got == {"n": 5, "k": 10, "formula": 201, "enumerated": 201, "match": True}
+
+
+class TestSingleResultDigest:
+    # sha256 over (argv, stdout, stderr, exit code) of every call below, in loop order
+    SHA256 = "a8aba7471bf6bedf76938916529f14682b726160d3fe320cba419376b11ce475"
+    CODE_COMMANDS = (("slimes",), ("migrate",), ("migrate", "--backward"), ("phi",), ("phi", "--inverse"),
+                     ("ws",), ("rotate",), ("period",), ("canon",), ("word",))
+
+    def test_every_small_code_and_count(self, monkeypatch):
+        # one parser serves every call, as building it dominates a call's time
+        parser = build_parser()
+        monkeypatch.setattr(neckslime.cli, "build_parser", lambda: parser)
+        argvs = []
+        for n in range(1, 6):
+            for k in range(6):
+                for f in neckslime.enumerate_codes(n, k):
+                    argvs += [[*command, str(f)] for command in self.CODE_COMMANDS]
+                    argvs.append(["unword", neckslime.code_to_word(f)])
+        argvs += [["count", str(n), str(k)] for n in range(1, 8) for k in range(8)]
+        digest = hashlib.sha256()
+        for argv in argvs:
+            for fmt in ("json", "text"):
+                out, err = io.StringIO(), io.StringIO()
+                with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                    status = main([*argv, "--format", fmt])
+                digest.update(json.dumps([argv, fmt, out.getvalue(), err.getvalue(), status]).encode())
+        assert len(argvs) == 461 * 11 + 56 and digest.hexdigest() == self.SHA256
 
 
 class TestBijectionCommand:
