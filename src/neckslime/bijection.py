@@ -141,6 +141,8 @@ def load_riwi_map(path: str | Path) -> RiwiMap:
     path = Path(path)
     try:
         data = json.loads(path.read_text(encoding="utf-8"))
+    except OSError as exc:
+        raise ValueError(f"map file {path}: not readable: {exc.strerror}") from None
     except ValueError as exc:  # JSONDecodeError, or UnicodeDecodeError from a file that is not UTF-8
         raise ValueError(f"map file {path}: not valid JSON: {exc}") from None
     if not isinstance(data, list):

@@ -18,7 +18,6 @@ depend on scheduling.
 
 from __future__ import annotations
 
-import json
 import time
 from dataclasses import dataclass, field
 from math import comb, gcd
@@ -61,9 +60,6 @@ class Certificate:
             "elapsed_s": round(self.elapsed_s, 6),
             "info": self.info,
         }
-
-    def to_json_line(self) -> str:
-        return json.dumps(self.to_json_dict())
 
 
 def _certificate(check: str, n: int, k: int, tally: Tally, t0: float, info: dict) -> Certificate:

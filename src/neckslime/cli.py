@@ -11,11 +11,12 @@ soon as its check has finished); in text mode the summary table, then each
 counterexample of a failed certificate.  ``bijection`` takes a ``--map``
 file that passes ``verify_riwi``, else runs ``sigma_table`` at (n, k).
 
-Exit codes: 0 success / verified; 1 verification failure, a mathematical
-precondition violated (a cell with no built-in construction, migrating
-an invalid code, ...) or a map file that cannot be read, parsed, holds a
-bad entry, lists a source twice or is no riwi map; 2 malformed command-line
-usage or unparseable code literals.
+Exit codes: 0 success / verified; 1 verification failure, a violated
+mathematical precondition (no built-in construction, an invalid code to
+migrate, ...) or a map file that cannot be read, parsed, holds a bad entry,
+lists a source twice or is no riwi map; 2 a usage error, whose message
+names its reason.  Integer operands are read as strictly as code literals:
+ASCII digits, with an optional ``-``, and nothing else ``int()`` accepts.
 A reader that closes the pipe early (``neckslime sweep | head -1``) ends the
 command quietly with status 1: stdout is pointed at the null device so the
 shutdown flush cannot fail again, and nothing is printed on stderr (the
@@ -28,6 +29,7 @@ import argparse
 import csv
 import json
 import os
+import re
 import sys
 from typing import Iterable
 
@@ -38,43 +40,50 @@ from .necklaces import canonicalize, code_to_word, count_necklaces, enumerate_ne
 from .slime import decompose, migrate_backward, migrate_forward, unit_migration, unit_migration_inverse
 
 
+def _int(text: str) -> int:
+    """An optional ``-`` and ASCII digits, the grammar of a code literal's entries."""
+    if not re.fullmatch(r"-?[0-9]+", text):
+        raise argparse.ArgumentTypeError(f"malformed integer {text!r}")
+    return int(text)
+
+
 def _positive(text: str) -> int:
-    value = int(text)
+    value = _int(text)
     if value < 1:
-        raise ValueError("must be at least 1")
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
     return value
 
 
 def _nonneg(text: str) -> int:
-    value = int(text)
+    value = _int(text)
     if value < 0:
-        raise ValueError("must be nonnegative")
+        raise argparse.ArgumentTypeError(f"must be nonnegative, got {value}")
     return value
 
 
 def _prime(text: str) -> int:
-    value = int(text)
+    value = _int(text)
     if not is_prime(value):
-        raise ValueError("must be prime")
+        raise argparse.ArgumentTypeError(f"must be prime, got {value}")
     return value
 
 
-def _print_code(code: Code, fmt: str) -> None:
-    if fmt == "json":
-        print(json.dumps(code.to_json_dict()))
-    else:
-        print(code)
+def _code(text: str) -> Code:
+    try:
+        return Code.parse(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
+def _show(args: argparse.Namespace, record: dict, text: object) -> None:
+    print(json.dumps(record) if args.format == "json" else text)
 
 
 def _cmd_slimes(args: argparse.Namespace) -> int:
     dec = decompose(args.code)
-    if args.format == "json":
-        print(json.dumps(dec.to_json_dict()))
-    elif dec.valid:
-        runs = " ".join(f"{s.start}:{s.length}" for s in dec.slimes)
-        print(f"m={dec.m} weight={dec.weight} slimes={runs}")
-    else:
-        print(f"m={dec.m} invalid")
+    runs = " ".join(f"{s.start}:{s.length}" for s in dec.slimes)
+    text = f"m={dec.m} weight={dec.weight} slimes={runs}" if dec.valid else f"m={dec.m} invalid"
+    _show(args, dec.to_json_dict(), text)
     return 0
 
 
@@ -83,45 +92,44 @@ def _cmd_migrate(args: argparse.Namespace) -> int:
     code = args.code
     for _ in range(args.steps):
         code = step(code)
-    _print_code(code, args.format)
+    _show(args, code.to_json_dict(), code)
     return 0
 
 
 def _cmd_phi(args: argparse.Namespace) -> int:
-    move = unit_migration_inverse if args.inverse else unit_migration
-    _print_code(move(args.code), args.format)
+    code = unit_migration_inverse(args.code) if args.inverse else unit_migration(args.code)
+    _show(args, code.to_json_dict(), code)
     return 0
 
 
 def _cmd_value(args: argparse.Namespace) -> int:
     """Print ``args.value`` of the code, keyed in JSON by the command name."""
     value = args.value(args.code)
-    print(json.dumps({args.command: value}) if args.format == "json" else value)
+    _show(args, {args.command: value}, value)
     return 0
 
 
 def _cmd_rotate(args: argparse.Namespace) -> int:
-    _print_code(args.code.rotate(args.steps), args.format)
+    code = args.code.rotate(args.steps)
+    _show(args, code.to_json_dict(), code)
     return 0
 
 
 def _cmd_canon(args: argparse.Namespace) -> int:
     neck = canonicalize(args.code)
-    if args.format == "json":
-        print(json.dumps(neck.to_json_dict()))
-    else:
-        print(",".join(str(v) for v in neck.canonical))
+    _show(args, neck.to_json_dict(), ",".join(str(v) for v in neck.canonical))
     return 0
 
 
 def _cmd_unword(args: argparse.Namespace) -> int:
-    _print_code(word_to_code(args.word), args.format)
+    code = word_to_code(args.word)
+    _show(args, code.to_json_dict(), code)
     return 0
 
 
 def _cmd_enum_codes(args: argparse.Namespace) -> int:
     for code in enumerate_codes(args.n, args.k, t=args.t, full_period_only=args.full_period):
-        _print_code(code, args.format)
+        print(json.dumps(code.to_json_dict()) if args.format == "json" else code)
     return 0
 
 
@@ -138,11 +146,8 @@ def _cmd_count(args: argparse.Namespace) -> int:
     formula = count_necklaces(args.n, args.k)
     enumerated = len(enumerate_necklaces(args.n, args.k))
     match = formula == enumerated
-    if args.format == "json":
-        print(json.dumps({"n": args.n, "k": args.k, "formula": formula,
-                          "enumerated": enumerated, "match": match}))
-    else:
-        print(f"formula={formula} enumerated={enumerated}")
+    _show(args, {"n": args.n, "k": args.k, "formula": formula, "enumerated": enumerated, "match": match},
+          f"formula={formula} enumerated={enumerated}")
     return 0 if match else 1
 
 
@@ -173,7 +178,7 @@ def _print_certificates(certs: Iterable[Certificate], fmt: str) -> int:
     for cert in certs:
         done.append(cert)
         if fmt == "json":
-            print(cert.to_json_line(), flush=True)
+            print(json.dumps(cert.to_json_dict()), flush=True)
     if fmt == "text":
         print(summarize(done))
     return 0 if all(c.passed for c in done) else 1
@@ -206,7 +211,7 @@ def build_parser() -> argparse.ArgumentParser:
     fmt = argparse.ArgumentParser(add_help=False)
     fmt.add_argument("--format", choices=("json", "text"), default="json", help="output format")
     code = argparse.ArgumentParser(add_help=False)
-    code.add_argument("code", type=Code.parse)
+    code.add_argument("code", type=_code)
     cell = argparse.ArgumentParser(add_help=False)
     cell.add_argument("n", type=_positive)
     cell.add_argument("k", type=_nonneg)
@@ -227,7 +232,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_value, value=Code.weighted_sum)
 
     p = sub.add_parser("rotate", parents=[code, fmt], help="rotate a code left by a step count")
-    p.add_argument("--steps", type=int, default=1)
+    p.add_argument("--steps", type=_int, default=1)
     p.set_defaults(func=_cmd_rotate)
 
     p = sub.add_parser("period", parents=[code, fmt], help="smallest repetition period of a code")
@@ -247,7 +252,7 @@ def build_parser() -> argparse.ArgumentParser:
     enum_sub = p.add_subparsers(dest="what", required=True)
 
     q = enum_sub.add_parser("codes", parents=[cell, fmt], help="codes of given length and content")
-    q.add_argument("--t", type=int, default=None, help="restrict to one weighted-sum residue")
+    q.add_argument("--t", type=_int, default=None, help="restrict to one weighted-sum residue")
     q.add_argument("--full-period", action="store_true")
     q.set_defaults(func=_cmd_enum_codes)
 
@@ -292,14 +297,11 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except BrokenPipeError:
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
         return 1
-    except OSError as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -162,7 +162,7 @@ class TestPrimeBijectionCheck:
 class TestCertificateShape:
     def test_json_line(self):
         cert = check_invalid_iff_constant(3, 3)
-        d = json.loads(cert.to_json_line())
+        d = json.loads(json.dumps(cert.to_json_dict()))
         assert list(d) == ["check", "n", "k", "verdict", "counterexamples",
                            "failure_count", "examined", "elapsed_s", "info"]
         assert d["verdict"] == "pass" and d["counterexamples"] == []

@@ -338,7 +338,7 @@ def parser_snapshot(parser: argparse.ArgumentParser, path: str = "") -> dict:
 
 class TestParserSnapshot:
     # (dest, option strings, default, choices, nargs, type name, required)
-    CODE = ("code", (), None, None, None, "parse", True)
+    CODE = ("code", (), None, None, None, "_code", True)
     FORMAT = ("format", ("--format",), "json", ("json", "text"), None, None, False)
     N = ("n", (), None, None, None, "_positive", True)
     K = ("k", (), None, None, None, "_nonneg", True)
@@ -357,13 +357,13 @@ class TestParserSnapshot:
                         ("steps", ("--steps",), 1, None, None, "_nonneg", False)],
             "phi": [code, fmt, ("inverse", ("--inverse",), False, None, 0, None, False)],
             "ws": [code, fmt],
-            "rotate": [code, fmt, ("steps", ("--steps",), 1, None, None, "int", False)],
+            "rotate": [code, fmt, ("steps", ("--steps",), 1, None, None, "_int", False)],
             "period": [code, fmt],
             "canon": [code, fmt],
             "word": [code, fmt],
             "unword": [("word", (), None, None, None, None, True), fmt],
             "enum": [("what", (), None, ("codes", "necklaces"), None, None, True)],
-            "enum codes": [n, k, fmt, self.FULL_PERIOD, ("t", ("--t",), None, None, None, "int", False)],
+            "enum codes": [n, k, fmt, self.FULL_PERIOD, ("t", ("--t",), None, None, None, "_int", False)],
             "enum necklaces": [n, k, fmt, self.FULL_PERIOD],
             "count": [n, k, fmt],
             "bijection": [n, k, ("chooser", ("--chooser",), "lexmin", ("lexmin", "lexmax"), None, None, False),
@@ -400,6 +400,23 @@ class TestReadme:
                 failing.append(example)
         assert examples and failing == []
 
+    def test_every_shown_output(self, capsys):
+        """A shown output matches line by line; ``...`` ends what is shown, ``[...]`` elides a list."""
+        readme = (Path(__file__).parent.parent / "README.md").read_text()
+        shown = re.findall(r"^\$ neckslime ([^#\n]*)(?:#.*)?\n((?:(?!\$ |```).+\n)+)", readme, flags=re.MULTILINE)
+        wrong = []
+        for example, output in shown:
+            status = main(shlex.split(example))
+            got = capsys.readouterr().out.splitlines()
+            want = output.splitlines()
+            if "..." in want:
+                want = want[:want.index("...")]
+                got = got[:len(want)]
+            patterns = [re.escape(line).replace(re.escape("[...]"), r"\[.*\]") for line in want]
+            if status != 0 or len(got) != len(want) or not all(map(re.fullmatch, patterns, got)):
+                wrong.append(example)
+        assert len(shown) == 14 and wrong == []
+
 
 class TestExitCodes:
     def test_math_precondition_is_one(self):
@@ -424,9 +441,25 @@ class TestExitCodes:
                 Code.parse(literal)
             p = run("ws", "--format", "text", literal)
             assert p.returncode == 2 and p.stdout == "", literal
+            assert f"argument code: malformed code literal {literal!r}" in p.stderr, literal
+        # integer operands take the same ASCII digits, with an optional "-"
+        for argv, reason in ((("enum", "codes", "\u0663", "1_0"), "argument n: malformed integer '\u0663'"),
+                             (("rotate", "--steps", "1_0", "1,2,3"), "argument --steps: malformed integer '1_0'"),
+                             (("enum", "codes", "3", "3", "--t", "+1"), "argument --t: malformed integer '+1'"),
+                             (("enum", "codes", "3", "3", "--t", " 1"), "argument --t: malformed integer ' 1'"),
+                             (("enum", "codes", "0", "3"), "argument n: must be at least 1, got 0"),
+                             (("count", "3", "-1"), "argument k: must be nonnegative, got -1")):
+            p = run(*argv)
+            assert p.returncode == 2 and p.stdout == "" and reason in p.stderr, argv
+        assert run("rotate", "--steps", "-1", "1,2,3", "--format", "text").stdout == "3,1,2\n"
+        p = run("enum", "codes", "3", "3", "--t", "-1", "--format", "text")
+        assert p.stdout.split() == ["0,1,2", "1,2,0", "2,0,1"]
 
-    def test_missing_map_file_is_one(self):
-        assert run("verify-riwi", "--map", "/nonexistent.json", "3", "3").returncode == 1
+    def test_missing_map_file_is_one(self, tmp_path):
+        for path, reason in (("/nonexistent.json", "No such file or directory"), (tmp_path, "Is a directory")):
+            p = run("verify-riwi", "--map", str(path), "3", "3")
+            assert p.returncode == 1 and p.stdout == ""
+            assert p.stderr == f"error: map file {path}: not readable: {reason}\n"
 
     def test_bool_map_entry_is_one(self, tmp_path):
         path = tmp_path / "bools.json"
@@ -467,10 +500,16 @@ class TestExitCodes:
         assert f"error: map file {path}: not valid JSON" in p.stderr
 
     def test_sweep_bounds_are_two(self):
-        for argv in (("--n-max", "-1"), ("--k-max", "-1"), ("--max-codes", "0"), ("--max-codes", "-1"),
-                     ("--primes", "4"), ("--primes", "11", "1")):
+        for argv, reason in ((("--n-max", "-1"), "must be nonnegative, got -1"),
+                             (("--k-max", "-1"), "must be nonnegative, got -1"),
+                             (("--max-codes", "0"), "must be at least 1, got 0"),
+                             (("--max-codes", "-1"), "must be at least 1, got -1"),
+                             (("--primes", "4"), "must be prime, got 4"),
+                             (("--primes", "11", "1"), "must be prime, got 1"),
+                             (("--n-max", "1_0"), "malformed integer '1_0'")):
             p = run("sweep", *argv)
             assert p.returncode == 2 and p.stdout == "", argv
+            assert f"argument {argv[0]}: {reason}" in p.stderr, argv
 
     def test_non_prime_length_message(self):
         assert run("bijection", "1", "0").returncode == 0

@@ -119,3 +119,20 @@ def test_code_validated_only_at_trust_boundaries():
     calls = [(name, scope, line) for name, tree in MODULES.items() for scope, line in _code_calls(tree)]
     inside = [f"{name}:{line} {scope}" for name, scope, line in calls if scope not in boundaries]
     assert {scope for _, scope, _ in calls} >= boundaries and inside == []
+
+
+def test_cli_operand_types_are_defined_in_cli():
+    """Each ``add_argument(type=...)`` names a function of ``cli.py``, so one grammar reads every operand."""
+    tree = MODULES["cli.py"]
+    defined = {node.name for node in tree.body if isinstance(node, ast.FunctionDef)}
+    types = [
+        (node.lineno, keyword.value)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "add_argument"
+        for keyword in node.keywords
+        if keyword.arg == "type"
+    ]
+    foreign = [f"cli.py:{line} {ast.unparse(value)}" for line, value in types
+               if not (isinstance(value, ast.Name) and value.id in defined)]
+    assert types
+    assert foreign == []
