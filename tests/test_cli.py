@@ -230,6 +230,21 @@ class TestBijectionCommand:
                                        "supply a riwi map with --map FILE\n"), (n, k)
         assert digest.hexdigest() == self.SMALL_CELLS_SHA256
 
+    # sha256 of the CSV and text tables of every cell above and of the text necklace lists, in loop order
+    TEXT_SHA256 = "539af6c79842b8ff483aec8a228fa30d81cf98deedbf7b3e4a2d5ee1455444ec"
+
+    def test_every_small_cell_as_csv_and_text(self, capsys):
+        argvs = [["bijection", str(n), str(k), "--chooser", chooser, "--format", fmt]
+                 for n in range(1, 10) for k in range(10)
+                 for chooser in ("lexmin", "lexmax") for fmt in ("csv", "text")]
+        argvs += [["enum", "necklaces", str(n), str(k), "--format", "text", *flag]
+                  for n in range(1, 8) for k in range(8) for flag in ([], ["--full-period"])]
+        digest = hashlib.sha256()
+        for argv in argvs:
+            status = main(argv)
+            digest.update(json.dumps([argv, capsys.readouterr().out, status]).encode())
+        assert len(argvs) == 360 + 112 and digest.hexdigest() == self.TEXT_SHA256
+
     def test_chooser_flag(self):
         got = json.loads(run("bijection", "3", "3", "--chooser", "lexmax").stdout)
         assert got["chooser"] == "lexmax"

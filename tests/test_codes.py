@@ -8,7 +8,7 @@ from hypothesis import given, strategies as st
 
 from neckslime import Code, divisors, enumerate_codes, is_prime
 
-from oracles import grid_codes, tuple_period, weighted_sum
+from oracles import grid_codes, stars_and_bars, tuple_period, weighted_sum
 
 codes = st.lists(st.integers(0, 6), min_size=1, max_size=8).map(lambda e: Code(tuple(e)))
 
@@ -137,6 +137,20 @@ class TestEnumerate:
         for n in range(1, 5):
             for k in range(6):
                 assert [f.entries for f in enumerate_codes(n, k)] == sorted(grid_codes(n, k))
+
+    def test_matches_stars_and_bars_oracle(self):
+        # every cell the default sweep enumerates, under each filter it uses
+        cases = 0
+        for n, k in [(n, k) for n in range(1, 9) for k in range(9)] + [(11, k) for k in range(9)]:
+            every = sorted(stars_and_bars(n, k))
+            for t in (None, 0, n - 1):
+                for full_period_only in (False, True):
+                    want = [c for c in every if (t is None or weighted_sum(c) == t)
+                            and (not full_period_only or tuple_period(c) == n)]
+                    got = [f.entries for f in enumerate_codes(n, k, t=t, full_period_only=full_period_only)]
+                    assert got == want, (n, k, t, full_period_only)
+                    cases += 1
+        assert cases == 486
 
     def test_residue_filter(self):
         got = [f.entries for f in enumerate_codes(3, 3, t=0)]
