@@ -143,7 +143,9 @@ def load_riwi_map(path: str | Path) -> RiwiMap:
         data = json.loads(path.read_text(encoding="utf-8"))
     except OSError as exc:
         raise ValueError(f"map file {path}: not readable: {exc.strerror}") from None
-    except ValueError as exc:  # JSONDecodeError, or UnicodeDecodeError from a file that is not UTF-8
+    except (ValueError, RecursionError) as exc:
+        # JSONDecodeError, UnicodeDecodeError from a file that is not UTF-8,
+        # or RecursionError from arrays nested past the decoder's depth limit
         raise ValueError(f"map file {path}: not valid JSON: {exc}") from None
     if not isinstance(data, list):
         raise ValueError(f"map file {path} must hold a JSON array of from/to objects")
@@ -184,7 +186,7 @@ class BijectionTable:
     def to_csv_rows(self) -> list[list[str]]:
         rows = [["code", "necklace", "word"]]
         for c, m in self.pairs:
-            rows.append([str(c), ",".join(str(v) for v in m.canonical), m.word])
+            rows.append([str(c), str(m), m.word])
         return rows
 
 

@@ -195,11 +195,11 @@ def check_prime_bijection(n: int, k: int) -> Certificate:
                 f"missing {[str(c) for c in only_domain]}"
             )
         if len(set(necks)) != len(necks):
-            dup = sorted({str(m) for m in necks if necks.count(m) > 1})[:3]
+            dup = sorted({f"<{m}>" for m in necks if necks.count(m) > 1})[:3]
             tally.fail(f"{chooser}: not injective: repeated necklaces {dup}")
         if set(necks) != all_necklaces:
             missing = sorted(all_necklaces - set(necks), key=lambda m: m.canonical)[:3]
-            tally.fail(f"{chooser}: not surjective: unreached necklaces {[str(m) for m in missing]}")
+            tally.fail(f"{chooser}: not surjective: unreached necklaces {[f'<{m}>' for m in missing]}")
         if len(table.pairs) != expected:
             tally.fail(f"{chooser}: table has {len(table.pairs)} pairs, necklace count is {expected}")
     info = {"pairs": len(tables["lexmin"].pairs),

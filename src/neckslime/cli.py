@@ -14,8 +14,9 @@ file that passes ``verify_riwi``, else runs ``sigma_table`` at (n, k).
 Exit codes: 0 success / verified; 1 verification failure, a violated
 mathematical precondition (no built-in construction, an invalid code to
 migrate, ...) or a map file that cannot be read, parsed, holds a bad entry,
-lists a source twice or is no riwi map; 2 a usage error, whose message
-names its reason.  Integer operands are read as strictly as code literals:
+lists a source twice or is no riwi map; 2 a usage error (a malformed code
+literal, bead word or integer operand among them), whose message names its
+reason.  Integer operands are read as strictly as code literals:
 ASCII digits, with an optional ``-``, and nothing else ``int()`` accepts.
 A reader that closes the pipe early (``neckslime sweep | head -1``) ends the
 command quietly with status 1: stdout is pointed at the null device so the
@@ -75,6 +76,13 @@ def _code(text: str) -> Code:
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
+def _word(text: str) -> Code:
+    try:
+        return word_to_code(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
 def _show(args: argparse.Namespace, record: dict, text: object) -> None:
     print(json.dumps(record) if args.format == "json" else text)
 
@@ -117,13 +125,12 @@ def _cmd_rotate(args: argparse.Namespace) -> int:
 
 def _cmd_canon(args: argparse.Namespace) -> int:
     neck = canonicalize(args.code)
-    _show(args, neck.to_json_dict(), ",".join(str(v) for v in neck.canonical))
+    _show(args, neck.to_json_dict(), neck)
     return 0
 
 
 def _cmd_unword(args: argparse.Namespace) -> int:
-    code = word_to_code(args.word)
-    _show(args, code.to_json_dict(), code)
+    _show(args, args.word.to_json_dict(), args.word)
     return 0
 
 
@@ -135,10 +142,7 @@ def _cmd_enum_codes(args: argparse.Namespace) -> int:
 
 def _cmd_enum_necklaces(args: argparse.Namespace) -> int:
     for neck in enumerate_necklaces(args.n, args.k, full_period_only=args.full_period):
-        if args.format == "json":
-            print(json.dumps(neck.to_json_dict()))
-        else:
-            print(",".join(str(v) for v in neck.canonical), neck.word)
+        print(json.dumps(neck.to_json_dict()) if args.format == "json" else f"{neck} {neck.word}")
     return 0
 
 
@@ -168,7 +172,7 @@ def _cmd_bijection(args: argparse.Namespace) -> int:
         writer.writerows(table.to_csv_rows())
     else:
         for code, neck in table.pairs:
-            print(f"{code} -> {','.join(str(v) for v in neck.canonical)} {neck.word}")
+            print(f"{code} -> {neck} {neck.word}")
     return 0
 
 
@@ -245,7 +249,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_value, value=code_to_word)
 
     p = sub.add_parser("unword", parents=[fmt], help="gap code of a bead word")
-    p.add_argument("word")
+    p.add_argument("word", type=_word)
     p.set_defaults(func=_cmd_unword)
 
     p = sub.add_parser("enum", help="enumerate codes or necklaces")

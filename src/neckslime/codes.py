@@ -142,7 +142,7 @@ class Code:
         return cls(tuple(map(int, literal.split(","))))
 
     def __str__(self) -> str:
-        return ",".join(str(v) for v in self.entries)
+        return ",".join(map(str, self.entries))
 
     def to_json_dict(self) -> dict:
         return {"entries": list(self.entries), "n": self.n, "k": self.k}
@@ -156,6 +156,11 @@ def enumerate_codes(
 ) -> Iterator[Code]:
     """Yield the codes of length ``n`` and content ``k`` in lexicographic order.
 
+    The walk starts at (0, ..., 0, k).  Each step takes the last nonzero
+    part j >= 1, moves one unit of it to part j - 1 and the rest to the last
+    part; the walk ends when only part 0 is nonzero.  The next step's j is
+    the last part if that rest is nonzero, else j - 1, so nothing is scanned.
+
     With ``t`` given, only codes whose weighted sum is ``t`` mod ``n`` are
     emitted; with ``full_period_only`` set, only codes of period ``n``.  The
     stream is duplicate-free and sorted, so consumers can freeze its order
@@ -168,35 +173,18 @@ def enumerate_codes(
     if t is not None:
         t %= n
     shifts = [n // p for p in _prime_factors(gcd(n, k))] if full_period_only else []
-    for entries in _compositions(n, k):
-        if t is not None and weighted_sum(entries) != t:
-            continue
-        if shifts and any(entries == entries[d:] + entries[:d] for d in shifts):
-            continue
-        yield Code._trusted(entries)
-
-
-def _compositions(n: int, k: int) -> Iterator[tuple[int, ...]]:
-    """All ways to write ``k`` as an ordered sum of ``n`` nonnegative parts, lex order."""
-    if n == 1:
-        yield (k,)
-        return
     c = [0] * n
     c[-1] = k
+    j = n - 1 if k else 0
     while True:
-        yield tuple(c)
-        # lexicographic successor: bump the rightmost position that still has
-        # mass strictly to its right, then pack the remainder into the last slot
-        suffix = 0
-        i = n - 2
-        while i >= 0:
-            suffix += c[i + 1]
-            if suffix > 0:
-                break
-            i -= 1
-        else:
+        entries = tuple(c)
+        if (t is None or weighted_sum(entries) == t) and not (
+                shifts and any(entries == entries[d:] + entries[:d] for d in shifts)):
+            yield Code._trusted(entries)
+        if not j:
             return
-        c[i] += 1
-        for j in range(i + 1, n - 1):
-            c[j] = 0
-        c[-1] = suffix - 1
+        v = c[j]
+        c[j] = 0
+        c[j - 1] += 1
+        c[-1] = v - 1
+        j = n - 1 if v > 1 else j - 1

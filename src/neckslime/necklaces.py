@@ -62,7 +62,7 @@ class Necklace:
         return {"canonical": list(self.canonical), "word": self.word}
 
     def __str__(self) -> str:
-        return "<" + ",".join(str(v) for v in self.canonical) + ">"
+        return ",".join(map(str, self.canonical))
 
 
 def canonicalize(code: Code) -> Necklace:

@@ -376,7 +376,7 @@ class TestParserSnapshot:
             "period": [code, fmt],
             "canon": [code, fmt],
             "word": [code, fmt],
-            "unword": [("word", (), None, None, None, None, True), fmt],
+            "unword": [("word", (), None, None, None, "_word", True), fmt],
             "enum": [("what", (), None, ("codes", "necklaces"), None, None, True)],
             "enum codes": [n, k, fmt, self.FULL_PERIOD, ("t", ("--t",), None, None, None, "_int", False)],
             "enum necklaces": [n, k, fmt, self.FULL_PERIOD],
@@ -470,6 +470,14 @@ class TestExitCodes:
         p = run("enum", "codes", "3", "3", "--t", "-1", "--format", "text")
         assert p.stdout.split() == ["0,1,2", "1,2,0", "2,0,1"]
 
+    def test_malformed_bead_words_are_two(self):
+        for word, reason in (("XYZ", "may only contain 'B' and 'W', got 'XYZ'"),
+                             ("", "needs at least one black bead, got ''"),
+                             ("WWW", "needs at least one black bead, got 'WWW'")):
+            p = run("unword", word)
+            assert p.returncode == 2 and p.stdout == "", word
+            assert f"argument word: bead word {reason}\n" in p.stderr, word
+
     def test_missing_map_file_is_one(self, tmp_path):
         for path, reason in (("/nonexistent.json", "No such file or directory"), (tmp_path, "Is a directory")):
             p = run("verify-riwi", "--map", str(path), "3", "3")
@@ -513,6 +521,15 @@ class TestExitCodes:
         p = run("verify-riwi", "--map", str(path), "3", "3")
         assert p.returncode == 1 and p.stdout == ""
         assert f"error: map file {path}: not valid JSON" in p.stderr
+
+    def test_deeply_nested_map_json_is_one(self, tmp_path):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100_000 + "]" * 100_000)
+        for argv in (("verify-riwi", "3", "3", "--map", str(path)), ("bijection", "3", "3", "--map", str(path))):
+            p = run(*argv)
+            assert p.returncode == 1 and p.stdout == "", argv
+            assert p.stderr.startswith(f"error: map file {path}: not valid JSON"), argv
+            assert p.stderr.count("\n") == 1 and "Traceback" not in p.stderr, argv
 
     def test_sweep_bounds_are_two(self):
         for argv, reason in ((("--n-max", "-1"), "must be nonnegative, got -1"),

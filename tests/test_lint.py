@@ -10,6 +10,9 @@ method or property is referenced in the package or the benchmark harness.
 
 ``Code(...)`` validates its entries, so the package calls it only where
 outside input arrives; everything built inside uses ``Code._trusted``.
+
+A code or a necklace is written as its entries joined by commas in one
+place each, its ``__str__``; every output prints the object itself.
 """
 
 from __future__ import annotations
@@ -100,25 +103,49 @@ def test_every_public_function_is_referenced():
     assert PERFBENCH and dead == []
 
 
-def _code_calls(node: ast.AST, scope: str = "") -> list[tuple[str, int]]:
-    """(enclosing definition, line) of each ``Code(...)`` call, or ``cls(...)`` inside ``Code``, under ``node``."""
+def _calls(node: ast.AST, match, scope: str = "") -> list[tuple[str, int]]:
+    """(enclosing definition, line) of each call under ``node`` for which ``match(call, scope)`` holds."""
     found = []
     for child in ast.iter_child_nodes(node):
         if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-            found += _code_calls(child, f"{scope}.{child.name}".lstrip("."))
+            found += _calls(child, match, f"{scope}.{child.name}".lstrip("."))
             continue
-        if isinstance(child, ast.Call) and isinstance(child.func, ast.Name) and (
-                child.func.id == "Code" or child.func.id == "cls" and scope.startswith("Code.")):
+        if isinstance(child, ast.Call) and match(child, scope):
             found.append((scope, child.lineno))
-        found += _code_calls(child, scope)
+        found += _calls(child, match, scope)
     return found
+
+
+def _package_calls(match) -> list[tuple[str, str, int]]:
+    """(module, enclosing definition, line) of each matching call in the package."""
+    return [(name, scope, line) for name, tree in MODULES.items() for scope, line in _calls(tree, match)]
+
+
+def _is_code_call(call: ast.Call, scope: str) -> bool:
+    """``Code(...)``, or ``cls(...)`` inside ``Code``."""
+    return isinstance(call.func, ast.Name) and (
+        call.func.id == "Code" or call.func.id == "cls" and scope.startswith("Code."))
 
 
 def test_code_validated_only_at_trust_boundaries():
     boundaries = {"Code.parse", "load_riwi_map", "word_to_code"}
-    calls = [(name, scope, line) for name, tree in MODULES.items() for scope, line in _code_calls(tree)]
+    calls = _package_calls(_is_code_call)
     inside = [f"{name}:{line} {scope}" for name, scope, line in calls if scope not in boundaries]
     assert {scope for _, scope, _ in calls} >= boundaries and inside == []
+
+
+def _is_comma_join(call: ast.Call, scope: str) -> bool:
+    return (isinstance(call.func, ast.Attribute) and call.func.attr == "join"
+            and isinstance(call.func.value, ast.Constant) and call.func.value.value == ",")
+
+
+def test_comma_literals_are_written_once():
+    """A code and a necklace print as ``0,0,3`` through their own ``__str__``; nothing re-types that join."""
+    owners = {"Code.__str__", "Necklace.__str__"}
+    calls = _package_calls(_is_comma_join)
+    elsewhere = [f"{name}:{line} {scope}" for name, scope, line in calls if scope not in owners]
+    assert elsewhere == []
+    assert {scope for _, scope, _ in calls} == owners
 
 
 def test_cli_operand_types_are_defined_in_cli():

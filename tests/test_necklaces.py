@@ -50,7 +50,7 @@ class TestCanonicalize:
         assert canonicalize(Code(neck.canonical)) == neck
 
     def test_str(self):
-        assert str(canonicalize(Code((3, 0, 0)))) == "<0,0,3>"
+        assert str(canonicalize(Code((3, 0, 0)))) == "0,0,3"
 
 
 class TestWords:
