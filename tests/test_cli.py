@@ -146,6 +146,48 @@ class TestSingleResultDigest:
         assert len(argvs) == 461 * 11 + 56 and digest.hexdigest() == self.SHA256
 
 
+class TestCertificateAndStepDigest:
+    # sha256 over (argv, stdout, stderr, exit code) of every call below, in loop order,
+    # with each certificate's elapsed time masked
+    SHA256 = "c60c1d5031bdf6450863ae81465a12569fa55cfdfa7428aeb1e155d5c82a2302"
+    STEP_OPTIONS = (("migrate", "--steps", "0"), ("migrate", "--steps", "3"),
+                    ("migrate", "--backward", "--steps", "2"), ("rotate", "--steps", "-1"),
+                    ("rotate", "--steps", "5"))
+    SWEEPS = (("sweep", "--n-max", "3", "--k-max", "3", "--primes", "--max-codes", "1000"),
+              ("sweep", "--n-max", "2", "--k-max", "4", "--primes", "5", "--check", "count-identity",
+               "--check", "riwi-slime"))
+
+    @staticmethod
+    def without_time(out: str) -> str:
+        """``out`` with each JSON ``elapsed_s`` set to 0 and each text summary row's seconds column masked."""
+        out = re.sub(r'"elapsed_s": [0-9.e-]+', '"elapsed_s": 0', out)
+        return re.sub(r"  [0-9]+\.[0-9]{3}$", "  S", out, flags=re.MULTILINE)
+
+    def test_every_cell_certificate_and_step_count(self, monkeypatch, tmp_path):
+        parser = build_parser()
+        monkeypatch.setattr(neckslime.cli, "build_parser", lambda: parser)
+        monkeypatch.chdir(tmp_path)
+        write_map(tmp_path / "slime.json", neckslime.riwi_slime(3, 3).apply, 3, 3)
+        write_map(tmp_path / "identity.json", lambda f: f, 3, 3)
+        argvs = [["verify", str(n), str(k), "--check", check]
+                 for n in range(1, 6) for k in range(5) for check in ("all", *neckslime.CHECKS)]
+        argvs += [list(sweep) for sweep in self.SWEEPS]
+        for n in range(1, 5):
+            for k in range(5):
+                for f in neckslime.enumerate_codes(n, k):
+                    argvs += [[*options, str(f)] for options in self.STEP_OPTIONS]
+        argvs += [["verify-riwi", "--map", name, "3", "3"] for name in ("slime.json", "identity.json")]
+        digest = hashlib.sha256()
+        for argv in argvs:
+            for fmt in ("json", "text"):
+                out, err = io.StringIO(), io.StringIO()
+                with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                    status = main([*argv, "--format", fmt])
+                digest.update(json.dumps([argv, fmt, self.without_time(out.getvalue()), err.getvalue(),
+                                          status]).encode())
+        assert len(argvs) == 175 + 2 + 125 * 5 + 2 and digest.hexdigest() == self.SHA256
+
+
 class TestBijectionCommand:
     def test_worked_table_json(self):
         got = json.loads(run("bijection", "3", "3").stdout)
