@@ -5,11 +5,17 @@ given the arguments (certificates carry wall-time in a metadata field, data
 payloads never do).  Output defaults to JSON; ``--format text`` switches to
 terse human-readable lines, and bijection tables additionally offer CSV.
 
-``verify``, ``sweep`` and ``verify-riwi`` print certificates the same way:
-in JSON mode one line per certificate (``sweep`` prints and flushes each as
-soon as its check has finished); in text mode the summary table, then each
-counterexample of a failed certificate.  ``bijection`` takes a ``--map``
-file that passes ``verify_riwi``, else runs ``sigma_table`` at (n, k).
+Each subcommand names the library call that makes its result, and one of
+two printers prints it.  ``_cmd_show`` prints a single result (``slimes``,
+``migrate``, ``phi``, ``ws``, ``rotate``, ``period``, ``canon``, ``word``,
+``unword``): in JSON its ``to_json_dict()``, or a plain number or word keyed
+by the command name; in text its ``str()``.  ``_print_certificates`` prints
+the certificates of ``verify``, ``sweep`` and ``verify-riwi``: in JSON one
+line per certificate, flushed as soon as its check has finished; in text
+the summary table, then each counterexample of a failed certificate.
+``count``, ``enum`` and ``bijection`` print their own shapes; ``bijection``
+takes a ``--map`` file that passes ``verify_riwi``, else runs
+``sigma_table`` at (n, k).
 
 Exit codes: 0 success / verified; 1 verification failure, a violated
 mathematical precondition (no built-in construction, an invalid code to
@@ -32,7 +38,7 @@ import json
 import os
 import re
 import sys
-from typing import Iterable
+from typing import Iterator
 
 from .bijection import build_sigma, load_riwi_map, sigma_table, verify_riwi
 from .certify import CHECKS, Certificate, Envelope, check_riwi, run_cell, run_sweep, summarize
@@ -45,7 +51,11 @@ def _int(text: str) -> int:
     """An optional ``-`` and ASCII digits, the grammar of a code literal's entries."""
     if not re.fullmatch(r"-?[0-9]+", text):
         raise argparse.ArgumentTypeError(f"malformed integer {text!r}")
-    return int(text)
+    try:
+        return int(text)
+    except ValueError:  # more digits than Python's int-string limit; echoing them would flood stderr
+        raise argparse.ArgumentTypeError(
+            f"has {len(text.lstrip('-'))} digits, over the limit of {sys.get_int_max_str_digits()}") from None
 
 
 def _positive(text: str) -> int:
@@ -83,55 +93,22 @@ def _word(text: str) -> Code:
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
-def _show(args: argparse.Namespace, record: dict, text: object) -> None:
-    print(json.dumps(record) if args.format == "json" else text)
-
-
-def _cmd_slimes(args: argparse.Namespace) -> int:
-    dec = decompose(args.code)
-    runs = " ".join(f"{s.start}:{s.length}" for s in dec.slimes)
-    text = f"m={dec.m} weight={dec.weight} slimes={runs}" if dec.valid else f"m={dec.m} invalid"
-    _show(args, dec.to_json_dict(), text)
+def _cmd_show(args: argparse.Namespace) -> int:
+    """Print ``args.result(args)``: its JSON record (a plain value keyed by the command name), or its text."""
+    result = args.result(args)
+    if args.format == "text":
+        print(result)
+    else:
+        print(json.dumps({args.command: result} if isinstance(result, (int, str)) else result.to_json_dict()))
     return 0
 
 
-def _cmd_migrate(args: argparse.Namespace) -> int:
+def _migrated(args: argparse.Namespace) -> Code:
     step = migrate_backward if args.backward else migrate_forward
     code = args.code
     for _ in range(args.steps):
         code = step(code)
-    _show(args, code.to_json_dict(), code)
-    return 0
-
-
-def _cmd_phi(args: argparse.Namespace) -> int:
-    code = unit_migration_inverse(args.code) if args.inverse else unit_migration(args.code)
-    _show(args, code.to_json_dict(), code)
-    return 0
-
-
-def _cmd_value(args: argparse.Namespace) -> int:
-    """Print ``args.value`` of the code, keyed in JSON by the command name."""
-    value = args.value(args.code)
-    _show(args, {args.command: value}, value)
-    return 0
-
-
-def _cmd_rotate(args: argparse.Namespace) -> int:
-    code = args.code.rotate(args.steps)
-    _show(args, code.to_json_dict(), code)
-    return 0
-
-
-def _cmd_canon(args: argparse.Namespace) -> int:
-    neck = canonicalize(args.code)
-    _show(args, neck.to_json_dict(), neck)
-    return 0
-
-
-def _cmd_unword(args: argparse.Namespace) -> int:
-    _show(args, args.word.to_json_dict(), args.word)
-    return 0
+    return code
 
 
 def _cmd_enum_codes(args: argparse.Namespace) -> int:
@@ -150,8 +127,8 @@ def _cmd_count(args: argparse.Namespace) -> int:
     formula = count_necklaces(args.n, args.k)
     enumerated = len(enumerate_necklaces(args.n, args.k))
     match = formula == enumerated
-    _show(args, {"n": args.n, "k": args.k, "formula": formula, "enumerated": enumerated, "match": match},
-          f"formula={formula} enumerated={enumerated}")
+    record = {"n": args.n, "k": args.k, "formula": formula, "enumerated": enumerated, "match": match}
+    print(json.dumps(record) if args.format == "json" else f"formula={formula} enumerated={enumerated}")
     return 0 if match else 1
 
 
@@ -176,34 +153,22 @@ def _cmd_bijection(args: argparse.Namespace) -> int:
     return 0
 
 
-def _print_certificates(certs: Iterable[Certificate], fmt: str) -> int:
-    """JSON lines flushed as each certificate arrives, or the summary table at the end."""
+def _print_certificates(args: argparse.Namespace) -> int:
+    """``args.certificates(args)`` as JSON lines flushed as each arrives, or as the summary table at the end."""
     done = []
-    for cert in certs:
+    for cert in args.certificates(args):
         done.append(cert)
-        if fmt == "json":
+        if args.format == "json":
             print(json.dumps(cert.to_json_dict()), flush=True)
-    if fmt == "text":
+    if args.format == "text":
         print(summarize(done))
     return 0 if all(c.passed for c in done) else 1
 
 
-def _cmd_verify(args: argparse.Namespace) -> int:
-    return _print_certificates(run_cell(args.n, args.k, args.check), args.format)
-
-
-def _cmd_sweep(args: argparse.Namespace) -> int:
-    envelope = Envelope(
-        n_max=args.n_max,
-        k_max=args.k_max,
-        prime_extra=tuple(args.primes),
-        max_codes=args.max_codes,
-    )
-    return _print_certificates(run_sweep(envelope, args.check), args.format)
-
-
-def _cmd_verify_riwi(args: argparse.Namespace) -> int:
-    return _print_certificates([check_riwi("riwi-map", load_riwi_map(args.map), args.n, args.k)], args.format)
+def _swept(args: argparse.Namespace) -> Iterator[Certificate]:
+    envelope = Envelope(n_max=args.n_max, k_max=args.k_max, prime_extra=tuple(args.primes),
+                        max_codes=args.max_codes)
+    return run_sweep(envelope, args.check)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -221,36 +186,37 @@ def build_parser() -> argparse.ArgumentParser:
     cell.add_argument("k", type=_nonneg)
 
     p = sub.add_parser("slimes", parents=[code, fmt], help="decompose a code into slimes")
-    p.set_defaults(func=_cmd_slimes)
+    p.set_defaults(func=_cmd_show, result=lambda a: decompose(a.code))
 
     p = sub.add_parser("migrate", parents=[code, fmt], help="apply forward or backward migrations")
     p.add_argument("--backward", action="store_true")
     p.add_argument("--steps", type=_nonneg, default=1)
-    p.set_defaults(func=_cmd_migrate)
+    p.set_defaults(func=_cmd_show, result=_migrated)
 
     p = sub.add_parser("phi", parents=[code, fmt], help="unit migration: shift the weighted sum by +1")
     p.add_argument("--inverse", action="store_true")
-    p.set_defaults(func=_cmd_phi)
+    p.set_defaults(func=_cmd_show,
+                   result=lambda a: (unit_migration_inverse if a.inverse else unit_migration)(a.code))
 
     p = sub.add_parser("ws", parents=[code, fmt], help="weighted-sum residue of a code")
-    p.set_defaults(func=_cmd_value, value=Code.weighted_sum)
+    p.set_defaults(func=_cmd_show, result=lambda a: a.code.weighted_sum())
 
     p = sub.add_parser("rotate", parents=[code, fmt], help="rotate a code left by a step count")
     p.add_argument("--steps", type=_int, default=1)
-    p.set_defaults(func=_cmd_rotate)
+    p.set_defaults(func=_cmd_show, result=lambda a: a.code.rotate(a.steps))
 
     p = sub.add_parser("period", parents=[code, fmt], help="smallest repetition period of a code")
-    p.set_defaults(func=_cmd_value, value=Code.period)
+    p.set_defaults(func=_cmd_show, result=lambda a: a.code.period())
 
     p = sub.add_parser("canon", parents=[code, fmt], help="canonical necklace of a code")
-    p.set_defaults(func=_cmd_canon)
+    p.set_defaults(func=_cmd_show, result=lambda a: canonicalize(a.code))
 
     p = sub.add_parser("word", parents=[code, fmt], help="bead word of a code")
-    p.set_defaults(func=_cmd_value, value=code_to_word)
+    p.set_defaults(func=_cmd_show, result=lambda a: code_to_word(a.code))
 
     p = sub.add_parser("unword", parents=[fmt], help="gap code of a bead word")
     p.add_argument("word", type=_word)
-    p.set_defaults(func=_cmd_unword)
+    p.set_defaults(func=_cmd_show, result=lambda a: a.word)
 
     p = sub.add_parser("enum", help="enumerate codes or necklaces")
     enum_sub = p.add_subparsers(dest="what", required=True)
@@ -275,7 +241,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", parents=[cell, fmt], help="run certification checks at one (n, k) cell")
     p.add_argument("--check", choices=("all", *CHECKS), default="all")
-    p.set_defaults(func=_cmd_verify)
+    p.set_defaults(func=_print_certificates, certificates=lambda a: run_cell(a.n, a.k, a.check))
 
     p = sub.add_parser("sweep", parents=[fmt], help="run the certification checks over an envelope of cells")
     envelope = Envelope()
@@ -287,12 +253,13 @@ def build_parser() -> argparse.ArgumentParser:
                    help="skip any cell whose enumeration would exceed this")
     p.add_argument("--check", action="append", choices=tuple(CHECKS), default=None, metavar="NAME",
                    help="restrict to one check (repeatable)")
-    p.set_defaults(func=_cmd_sweep)
+    p.set_defaults(func=_print_certificates, certificates=_swept)
 
     p = sub.add_parser("verify-riwi", parents=[cell, fmt],
                        help="test a user-supplied map for the riwi properties")
     p.add_argument("--map", required=True, metavar="FILE")
-    p.set_defaults(func=_cmd_verify_riwi)
+    p.set_defaults(func=_print_certificates,
+                   certificates=lambda a: [check_riwi("riwi-map", load_riwi_map(a.map), a.n, a.k)])
 
     return parser
 

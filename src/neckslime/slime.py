@@ -82,6 +82,12 @@ class SlimeDecomposition:
         out["slimes"] = [{"start": s.start, "len": s.length} for s in self.slimes]
         return out
 
+    def __str__(self) -> str:
+        if not self.valid:
+            return f"m={self.m} invalid"
+        spans = " ".join(f"{s.start}:{s.length}" for s in self.slimes)
+        return f"m={self.m} weight={self.weight} slimes={spans}"
+
 
 def runs(entries: tuple[int, ...]) -> tuple[int, tuple[tuple[int, int], ...] | None]:
     """``(m, runs)``: the hot runs as ``(start, length)`` pairs sorted by start,

@@ -573,6 +573,17 @@ class TestExitCodes:
             assert p.stderr.startswith(f"error: map file {path}: not valid JSON"), argv
             assert p.stderr.count("\n") == 1 and "Traceback" not in p.stderr, argv
 
+    def test_overlong_integer_is_two(self):
+        # int() refuses more digits than sys.get_int_max_str_digits() with a ValueError of its own
+        digits = "9" * 4301
+        for argv, operand in ((("count", digits, "3"), "n"), (("verify", "3", digits), "k"),
+                              (("enum", "codes", "3", "2", "--t", f"-{digits}"), "--t")):
+            p = run(*argv)
+            reason = p.stderr.splitlines()[-1]
+            assert p.returncode == 2 and p.stdout == "", operand
+            assert f"argument {operand}: has 4301 digits" in reason and len(reason) < 200, reason
+            assert digits[:100] not in p.stderr, operand
+
     def test_sweep_bounds_are_two(self):
         for argv, reason in ((("--n-max", "-1"), "must be nonnegative, got -1"),
                              (("--k-max", "-1"), "must be nonnegative, got -1"),

@@ -13,6 +13,10 @@ outside input arrives; everything built inside uses ``Code._trusted``.
 
 A code or a necklace is written as its entries joined by commas in one
 place each, its ``__str__``; every output prints the object itself.
+
+The command line prints every single result in one function and every
+stream of certificates in another; only the commands with an output shape
+of their own (``count``, ``enum``, ``bijection``) print elsewhere.
 """
 
 from __future__ import annotations
@@ -146,6 +150,20 @@ def test_comma_literals_are_written_once():
     elsewhere = [f"{name}:{line} {scope}" for name, scope, line in calls if scope not in owners]
     assert elsewhere == []
     assert {scope for _, scope, _ in calls} == owners
+
+
+def _is_print(call: ast.Call, scope: str) -> bool:
+    return isinstance(call.func, ast.Name) and call.func.id == "print"
+
+
+def test_cli_prints_through_its_printers():
+    """Single results print through ``_cmd_show`` and certificates through ``_print_certificates``;
+    only the commands with an output shape of their own print elsewhere."""
+    printers = {"_cmd_show", "_print_certificates", "_cmd_count", "_cmd_enum_codes", "_cmd_enum_necklaces",
+                "_cmd_bijection", "main"}
+    calls = _calls(MODULES["cli.py"], _is_print)
+    elsewhere = [f"cli.py:{line} {scope}" for scope, line in calls if scope not in printers]
+    assert calls and elsewhere == []
 
 
 def test_cli_operand_types_are_defined_in_cli():

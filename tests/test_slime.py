@@ -19,6 +19,7 @@ from neckslime import (
     unit_migration_inverse,
     weight,
 )
+from neckslime.cli import main
 from neckslime.slime import runs, step
 
 from oracles import slime_migrate, slime_phi, slime_runs
@@ -84,6 +85,13 @@ class TestDecompose:
         assert d["slimes"][0] == {"start": 1, "len": 3}
         bad = decompose(Code((1, 1))).to_json_dict()
         assert list(bad) == ["m", "valid", "slimes"] and bad["valid"] is False
+
+    def test_text(self, capsys):
+        assert str(decompose(CHAIN0)) == "m=3 weight=3 slimes=1:3 6:3 10:2"
+        assert str(decompose(Code((1, 1)))) == "m=2 invalid"
+        for f in (CHAIN0, Code((1, 1))):
+            assert main(["slimes", str(f), "--format", "text"]) == 0
+            assert capsys.readouterr().out == f"{decompose(f)}\n"
 
     @given(codes)
     def test_structure(self, f):
