@@ -74,6 +74,44 @@ class TestMigrationLaws:
             "2,1,0: forward migration does not commute with rotation",
         }
 
+    def test_backward_failures_name_codes(self, monkeypatch):
+        real = certify.step
+
+        def broken(entries, runs, forward):
+            return (1, 1, 1) if not forward and entries == (2, 1, 0) else real(entries, runs, forward)
+
+        monkeypatch.setattr(certify, "step", broken)
+        cert = check_migration_laws(3, 3)
+        assert cert.failure_count == 2
+        assert set(cert.counterexamples) == {
+            "2,1,0: backward image 1,1,1 is invalid",
+            "3,0,0: backward(forward) is not the identity",
+        }
+
+    def test_image_of_other_content_fails(self, monkeypatch):
+        # an image outside the cell is a counterexample, never an exception
+        real = certify.step
+
+        def broken(entries, runs, forward):
+            return (1, 1, 2) if forward and entries == (2, 1, 0) else real(entries, runs, forward)
+
+        monkeypatch.setattr(certify, "step", broken)
+        cert = check_migration_laws(3, 3)
+        assert not cert.passed
+        assert any(detail.startswith("2,1,0: ") for detail in cert.counterexamples)
+
+    def test_envelope_certificates_pinned(self):
+        # every field but the wall time, hashed as in test_certificates_pinned
+        certs = list(run_sweep(Envelope(max_codes=10_000), ["migration-laws"]))
+        lines = []
+        for cert in certs:
+            d = cert.to_json_dict()
+            del d["elapsed_s"]
+            lines.append(json.dumps(d))
+        digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+        assert (len(certs), sum(c.examined for c in certs), digest) == (
+            79, 36_685, "883ce61cb904ffea11eb7099cd84196434220b65a1c2adf1ee21332595d6f8c2")
+
 
 class TestCountIdentity:
     def test_odd_cells(self):

@@ -52,6 +52,36 @@ class TestCanonicalize:
     def test_str(self):
         assert str(canonicalize(Code((3, 0, 0)))) == "0,0,3"
 
+    @pytest.mark.parametrize("j", [1, 2, 3, 8, 50, 128])
+    def test_many_candidate_starts(self, j):
+        for e in [(0, 1) * j + (0,), (1, 0, 0, 1, 0) * j + (1, 0)]:
+            for s in range(0, len(e), 1 + len(e) // 32):
+                f = Code(e[s:] + e[:s])
+                assert canonicalize(f).canonical == min_rotation(e), (j, s)
+
+    @pytest.mark.parametrize("e", [(0, 0, 1) * 5, (0, 1) * 6, (2, 0, 0, 1, 0, 0) * 3, (1, 0, 1, 1, 0) * 4])
+    def test_periodic_ties(self, e):
+        for s in range(len(e)):
+            assert canonicalize(Code(e[s:] + e[:s])).canonical == min_rotation(e)
+
+    @pytest.mark.parametrize("e", [(0,), (5,), (0, 0), (3, 3, 3), (7,) * 12])
+    def test_constant_and_single(self, e):
+        assert canonicalize(Code(e)).canonical == e
+
+    def test_least_run_wraps(self):
+        assert canonicalize(Code((0, 2, 0, 1, 0))).canonical == (0, 0, 2, 0, 1)
+        assert canonicalize(Code((0, 3, 1, 0, 0))).canonical == (0, 0, 0, 3, 1)
+
+    def test_large_entries(self):
+        for e in [(256, 300, 256, 1000, 256, 300), (4096, 257, 257, 70000, 257), (10**20, 10**20 + 1, 10**20)]:
+            assert canonicalize(Code(e)).canonical == min_rotation(e)
+
+    @given(st.lists(st.integers(0, 2), min_size=1, max_size=300),
+           st.lists(st.integers(0, 300), min_size=1, max_size=300))
+    def test_long_codes(self, small, wide):
+        for e in (tuple(small), tuple(wide)):
+            assert canonicalize(Code(e)).canonical == min_rotation(e)
+
 
 class TestWords:
     def test_examples(self):
