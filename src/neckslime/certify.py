@@ -97,52 +97,63 @@ def check_invalid_iff_constant(n: int, k: int) -> Certificate:
 def check_migration_laws(n: int, k: int) -> Certificate:
     """Round trips, conserved quantities, ws shifts, and equivariance for all valid codes.
 
-    Runs on the slime kernel: each code and each of its two images is
-    decomposed once, and the images' runs drive the inverse steps.
+    Runs on the slime kernel in one pass: each code of the cell is decomposed
+    once and stepped once each way, and its record keeps m, the slime count,
+    the weight and the indices of its two images.  The images are codes of
+    the same cell, so each image's laws are read from that image's own
+    record; an image that is not a code of the cell is a counterexample.
     """
     t0 = time.perf_counter()
     tally = Tally()
-    forward: dict[tuple[int, ...], tuple[int, ...]] = {}
-    for f in enumerate_codes(n, k):
-        tally.checked += 1
-        e = f.entries
+    codes = [f.entries for f in enumerate_codes(n, k)]
+    index = {e: i for i, e in enumerate(codes)}
+    ws = [weighted_sum(e) for e in codes]
+    # per code: (m, slime count, weight, forward image, backward image), images as indices
+    # into codes (None for one outside the cell); None for an invalid code
+    records = []
+    for e in codes:
         m, rs = runs(e)
-        if rs is None:
+        records.append(None if rs is None else (
+            m, len(rs), _weight(e, rs), index.get(step(e, rs, True)), index.get(step(e, rs, False))))
+    tally.checked = len(codes)
+    for i, record in enumerate(records):
+        if record is None:
             continue
-        w = _weight(e, rs)
+        f = Code._trusted(codes[i])
+        m, slimes, w, g, b = record
         if not 1 <= w <= n // 2:
             tally.fail(f"{f}: weight {w} outside [1, {n // 2}]")
-        g = step(e, rs, True)
-        b = step(e, rs, False)
-        forward[e] = g
-        gm, grs = runs(g)
-        bm, brs = runs(b)
-        # an invalid image has no runs to step back with; it fails below
-        if grs is not None and step(g, grs, False) != e:
+        # an image that is invalid or outside the cell has no record to step back with; it fails below
+        if g is not None and records[g] is not None and records[g][4] != i:
             tally.fail(f"{f}: backward(forward) is not the identity")
-        if brs is not None and step(b, brs, True) != e:
+        if b is not None and records[b] is not None and records[b][3] != i:
             tally.fail(f"{f}: forward(backward) is not the identity")
-        for label, image, im, irs in (("forward", g, gm, grs), ("backward", b, bm, brs)):
-            if irs is None:
-                tally.fail(f"{f}: {label} image {Code._trusted(image)} is invalid")
-                continue
-            if im != m:
-                tally.fail(f"{f}: {label} image changed m {m} -> {im}")
-            if len(irs) != len(rs):
-                tally.fail(f"{f}: {label} image changed slime count")
-            iw = _weight(image, irs)
-            if iw != w:
-                tally.fail(f"{f}: {label} image changed weight {w} -> {iw}")
-        ws = weighted_sum(e)
-        if weighted_sum(g) != (ws + w) % n:
-            tally.fail(f"{f}: forward ws shift is not +{w}")
-        if weighted_sum(b) != (ws - w) % n:
-            tally.fail(f"{f}: backward ws shift is not -{w}")
-    for e, g in forward.items():
-        if forward.get(e[1:] + e[:1]) != g[1:] + g[:1]:
+        images = (("forward", g, w), ("backward", b, -w))
+        for label, j, _ in images:
+            if j is None:
+                tally.fail(f"{f}: {label} image is not a code of ({n}, {k})")
+            elif records[j] is None:
+                tally.fail(f"{f}: {label} image {Code._trusted(codes[j])} is invalid")
+            else:
+                im, islimes, iw = records[j][:3]
+                if im != m:
+                    tally.fail(f"{f}: {label} image changed m {m} -> {im}")
+                if islimes != slimes:
+                    tally.fail(f"{f}: {label} image changed slime count")
+                if iw != w:
+                    tally.fail(f"{f}: {label} image changed weight {w} -> {iw}")
+        for label, j, shift in images:
+            if j is not None and ws[j] != (ws[i] + shift) % n:
+                tally.fail(f"{f}: {label} ws shift is not {shift:+d}")
+    for i, record in enumerate(records):
+        if record is None or record[3] is None:
+            continue
+        e, g = codes[i], codes[record[3]]
+        rotated = records[index[e[1:] + e[:1]]]
+        if rotated is None or rotated[3] != index.get(g[1:] + g[:1]):
             tally.fail(f"{Code._trusted(e)}: forward migration does not commute with rotation")
-    info = {"valid": len(forward), "invalid": tally.checked - len(forward)}
-    return _certificate("migration-laws", n, k, tally, t0, info)
+    valid = len(codes) - records.count(None)
+    return _certificate("migration-laws", n, k, tally, t0, {"valid": valid, "invalid": len(codes) - valid})
 
 
 def check_count_identity(n: int, k: int) -> Certificate:

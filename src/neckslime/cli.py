@@ -47,10 +47,15 @@ from .necklaces import canonicalize, code_to_word, count_necklaces, enumerate_ne
 from .slime import decompose, migrate_backward, migrate_forward, unit_migration, unit_migration_inverse
 
 
+def _shown(text: str, show=str) -> str:
+    """``show(text)`` for a refusal to quote: whole when short, else its first 20 characters and its length."""
+    return show(text) if len(text) <= 24 else f"{show(text[:20])}... ({len(text)} characters)"
+
+
 def _int(text: str) -> int:
     """An optional ``-`` and ASCII digits, the grammar of a code literal's entries."""
     if not re.fullmatch(r"-?[0-9]+", text):
-        raise argparse.ArgumentTypeError(f"malformed integer {text!r}")
+        raise argparse.ArgumentTypeError(f"malformed integer {_shown(text, repr)}")
     try:
         return int(text)
     except ValueError:  # more digits than Python's int-string limit; echoing them would flood stderr
@@ -61,21 +66,25 @@ def _int(text: str) -> int:
 def _positive(text: str) -> int:
     value = _int(text)
     if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {_shown(text)}")
     return value
 
 
 def _nonneg(text: str) -> int:
     value = _int(text)
     if value < 0:
-        raise argparse.ArgumentTypeError(f"must be nonnegative, got {value}")
+        raise argparse.ArgumentTypeError(f"must be nonnegative, got {_shown(text)}")
     return value
 
 
 def _prime(text: str) -> int:
     value = _int(text)
-    if not is_prime(value):
-        raise argparse.ArgumentTypeError(f"must be prime, got {value}")
+    try:
+        prime = is_prime(value)
+    except ValueError as exc:  # too large for an exact answer
+        raise argparse.ArgumentTypeError(str(exc)) from None
+    if not prime:
+        raise argparse.ArgumentTypeError(f"must be prime, got {_shown(text)}")
     return value
 
 

@@ -53,8 +53,41 @@ def _prime_factors(n: int) -> list[int]:
     return primes
 
 
+_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+# the least odd composite that is a strong probable prime to every base in _WITNESSES
+_PSI_13 = 3_317_044_064_679_887_385_961_981
+
+
 def is_prime(n: int) -> bool:
-    return n >= 2 and _prime_factors(n) == [n]
+    """Deterministic Miller-Rabin with the prime bases 2 to 41.
+
+    Those bases decide every n below psi_13 = 3,317,044,064,679,887,385,961,981,
+    the least composite that passes all of them (Sorenson and Webster, Math.
+    Comp. 2017).  At or above it the answer would not be exact, so it raises
+    ``ValueError``.
+    """
+    if n >= _PSI_13:
+        raise ValueError(f"primality is decided only below {_PSI_13}, got a {n.bit_length()}-bit number")
+    for p in _WITNESSES:
+        if n % p == 0:
+            return n == p
+    if n < 2:
+        return False
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _WITNESSES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
 
 
 def weighted_sum(entries: tuple[int, ...]) -> int:

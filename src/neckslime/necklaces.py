@@ -66,10 +66,21 @@ class Necklace:
 
 
 def canonicalize(code: Code) -> Necklace:
-    """The necklace of a gap code: lex-min over all its rotations."""
+    """The necklace of a gap code: its lex-min rotation, taken over the run starts of its least entry.
+
+    Let v be the least entry.  The least rotation starts with v, and it
+    starts where a maximal cyclic run of v begins, at some s with
+    e[s] == v != e[s - 1].  Suppose it started at s with e[s - 1] == v, and
+    the code is not constant: the rotation at s - 1 has one more leading v
+    before the first entry above v, so it is smaller.  Only those starts
+    are compared; a constant code has none and is its own canonical form.
+    """
     e = code.entries
-    best = min(e[s:] + e[:s] for s in range(len(e)))
-    return Necklace(canonical=best)
+    n = len(e)
+    v = min(e)
+    twice = e + e
+    candidates = [twice[s:s + n] for s in range(n) if e[s] == v and e[s - 1] != v]
+    return Necklace(canonical=min(candidates, default=e))
 
 
 def code_to_word(code: Code) -> str:

@@ -100,6 +100,18 @@ class TestMigrationLaws:
         assert not cert.passed
         assert any(detail.startswith("2,1,0: ") for detail in cert.counterexamples)
 
+    @pytest.mark.parametrize("n, k", [(7, 5), (11, 6)])
+    def test_one_decomposition_and_two_steps_per_code(self, monkeypatch, n, k):
+        calls = {"runs": 0, "step": 0}
+        for name in calls:
+            def counted(*args, _name=name, _real=getattr(certify, name)):
+                calls[_name] += 1
+                return _real(*args)
+            monkeypatch.setattr(certify, name, counted)
+        cert = check_migration_laws(n, k)
+        assert cert.passed
+        assert calls == {"runs": cert.examined, "step": 2 * cert.info["valid"]}
+
     def test_envelope_certificates_pinned(self):
         # every field but the wall time, hashed as in test_certificates_pinned
         certs = list(run_sweep(Envelope(max_codes=10_000), ["migration-laws"]))

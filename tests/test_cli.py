@@ -584,6 +584,25 @@ class TestExitCodes:
             assert f"argument {operand}: has 4301 digits" in reason and len(reason) < 200, reason
             assert digits[:100] not in p.stderr, operand
 
+    def test_long_refused_operand_is_capped(self):
+        # under the int-string limit, yet too long to echo: the message quotes its start and its length
+        nines = "9" * 4300
+        for argv, operand in ((("count", "3", f"-{nines}"), "k"), (("count", "3", f"x{nines}"), "k"),
+                              (("count", f"-{nines}", "3"), "n"), (("sweep", "--primes", f"-{nines}"), "--primes"),
+                              (("sweep", "--primes", "1" + "0" * 24), "--primes")):
+            p = run(*argv)
+            reason = p.stderr.splitlines()[-1]
+            assert p.returncode == 2 and p.stdout == "", argv
+            assert f"argument {operand}: " in reason and "characters)" in reason, reason
+            assert nines[:30] not in p.stderr, argv
+            if argv[0] == "count":
+                assert len(p.stderr.encode()) < 200, argv
+
+    def test_prime_past_exact_range_is_two(self):
+        p = run("sweep", "--primes", "3317044064679887385961981")
+        assert p.returncode == 2 and p.stdout == ""
+        assert "argument --primes: primality is decided only below 3317044064679887385961981" in p.stderr
+
     def test_sweep_bounds_are_two(self):
         for argv, reason in ((("--n-max", "-1"), "must be nonnegative, got -1"),
                              (("--k-max", "-1"), "must be nonnegative, got -1"),

@@ -1,12 +1,14 @@
 from __future__ import annotations
 
 import json
+import time
 from math import comb
 
 import pytest
 from hypothesis import given, strategies as st
 
 from neckslime import Code, divisors, enumerate_codes, is_prime
+from neckslime.codes import _prime_factors
 
 from oracles import grid_codes, stars_and_bars, tuple_period, weighted_sum
 
@@ -205,3 +207,29 @@ def test_is_prime():
     assert [p for p in range(20) if is_prime(p)] == [2, 3, 5, 7, 11, 13, 17, 19]
     for n in range(-3, 400):
         assert is_prime(n) == (n >= 2 and all(n % d for d in range(2, n))), n
+
+
+def test_is_prime_agrees_with_factoring():
+    assert all(is_prime(n) == (_prime_factors(n) == [n]) for n in range(2, 20_000))
+
+
+def test_is_prime_strong_pseudoprimes():
+    # composites that pass every Miller-Rabin base through 31, and through 37
+    assert not is_prime(3_825_123_056_546_413_051)
+    assert 399_165_290_221 * 798_330_580_441 == 318_665_857_834_031_151_167_461
+    assert not is_prime(318_665_857_834_031_151_167_461)
+    assert is_prime(2**61 - 1) and not is_prime(2**61 + 1)
+
+
+def test_is_prime_refuses_psi_13():
+    psi_13 = 3_317_044_064_679_887_385_961_981
+    assert not is_prime(psi_13 - 2)  # 17 * 195120239098816905056587
+    for n in (psi_13, psi_13 + 2, 10**4000):
+        with pytest.raises(ValueError, match="only below 3317044064679887385961981"):
+            is_prime(n)
+
+
+def test_is_prime_is_fast_on_long_primes():
+    start = time.perf_counter()
+    assert is_prime(10**14 + 31)
+    assert time.perf_counter() - start < 0.05
