@@ -150,7 +150,7 @@ def check_migration_laws(n: int, k: int) -> Certificate:
             continue
         e, g = codes[i], codes[record[3]]
         rotated = records[index[e[1:] + e[:1]]]
-        if rotated is None or rotated[3] != index.get(g[1:] + g[:1]):
+        if rotated is None or rotated[3] != index[g[1:] + g[:1]]:
             tally.fail(f"{Code._trusted(e)}: forward migration does not commute with rotation")
     valid = len(codes) - records.count(None)
     return _certificate("migration-laws", n, k, tally, t0, {"valid": valid, "invalid": len(codes) - valid})

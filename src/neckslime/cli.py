@@ -21,9 +21,11 @@ Exit codes: 0 success / verified; 1 verification failure, a violated
 mathematical precondition (no built-in construction, an invalid code to
 migrate, ...) or a map file that cannot be read, parsed, holds a bad entry,
 lists a source twice or is no riwi map; 2 a usage error (a malformed code
-literal, bead word or integer operand among them), whose message names its
-reason.  Integer operands are read as strictly as code literals:
-ASCII digits, with an optional ``-``, and nothing else ``int()`` accepts.
+literal, bead word or integer operand among them, and a ``--primes`` value
+too large for an exact primality test), whose message names its reason and
+quotes a long operand by its first 20 characters and its length.  Integer
+operands are read as strictly as code literals: ASCII digits, with an
+optional ``-``, and nothing else ``int()`` accepts.
 A reader that closes the pipe early (``neckslime sweep | head -1``) ends the
 command quietly with status 1: stdout is pointed at the null device so the
 shutdown flush cannot fail again, and nothing is printed on stderr (the
@@ -38,7 +40,7 @@ import json
 import os
 import re
 import sys
-from typing import Iterator
+from typing import Callable, Iterator
 
 from .bijection import build_sigma, load_riwi_map, sigma_table, verify_riwi
 from .certify import CHECKS, Certificate, Envelope, check_riwi, run_cell, run_sweep, summarize
@@ -47,7 +49,7 @@ from .necklaces import canonicalize, code_to_word, count_necklaces, enumerate_ne
 from .slime import decompose, migrate_backward, migrate_forward, unit_migration, unit_migration_inverse
 
 
-def _shown(text: str, show=str) -> str:
+def _shown(text: str, show: Callable[[str], str] = str) -> str:
     """``show(text)`` for a refusal to quote: whole when short, else its first 20 characters and its length."""
     return show(text) if len(text) <= 24 else f"{show(text[:20])}... ({len(text)} characters)"
 

@@ -54,7 +54,6 @@ def _prime_factors(n: int) -> list[int]:
 
 
 _WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
-# the least odd composite that is a strong probable prime to every base in _WITNESSES
 _PSI_13 = 3_317_044_064_679_887_385_961_981
 
 

@@ -3,7 +3,9 @@
 A necklace is an equivalence class of bead strings under rotation.  We record
 one by the cyclic sequence of white-run lengths after each black bead (its
 *gap code*, a code of length n and content k) and canonicalize by taking the
-lexicographically smallest rotation.  The bead word is recovered gap by gap:
+lexicographically smallest rotation.  :func:`canonicalize` compares only the
+rotations that start a maximal run of the least entry, so a code with r such
+runs costs r rotations, not n.  The bead word is recovered gap by gap:
 
     word = "B" + "W"*e[0] + "B" + "W"*e[1] + ...
 

@@ -207,9 +207,6 @@ def test_is_prime():
     assert [p for p in range(20) if is_prime(p)] == [2, 3, 5, 7, 11, 13, 17, 19]
     for n in range(-3, 400):
         assert is_prime(n) == (n >= 2 and all(n % d for d in range(2, n))), n
-
-
-def test_is_prime_agrees_with_factoring():
     assert all(is_prime(n) == (_prime_factors(n) == [n]) for n in range(2, 20_000))
 
 
