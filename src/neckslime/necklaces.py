@@ -14,9 +14,9 @@ The number of such necklaces is
     (1 / (n+k)) * sum over d | gcd(n, k) of phi(d) * C((n+k)/d, n/d)
 
 which this module evaluates exactly (the division is checked to be exact).
-For odd n that count also equals the number of codes in the zero residue
-class, a coincidence the certification checks lean on; for even n the two
-counts genuinely differ.
+That count also equals the number of codes in the zero residue class.
+The certification checks judge that match at odd n, where they lean on it,
+and only record it at even n, where no cell checked so far breaks it.
 
 :func:`enumerate_necklaces` generates the necklaces themselves with the
 Fredricksen-Kessler-Maiorana prenecklace walk restricted to fixed content
@@ -97,8 +97,8 @@ def word_to_code(word: str) -> Code:
         raise ValueError(f"bead word needs at least one black bead, got {word!r}")
     start = word.index("B")
     aligned = word[start:] + word[:start]
-    gaps = [len(run) for run in aligned[1:].split("B")]
-    return Code(tuple(gaps))
+    # the word holds only B and W and starts with a B, so the gaps are a nonempty tuple of nonnegative ints
+    return Code._trusted(tuple(len(run) for run in aligned[1:].split("B")))
 
 
 def count_necklaces(n: int, k: int) -> int:

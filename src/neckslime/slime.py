@@ -31,6 +31,15 @@ times shifts the weighted sum by exactly +1 while commuting with rotation;
 that unit move is the engine behind the slime-based orbit bijection.  It
 needs gcd(w(f), n) = 1, which always holds when n is prime.
 
+The unit move can often stop early.  A left rotation by s lowers the
+weighted sum by s * k, so when gcd(k, n) = 1 the t-th image can equal only
+one rotation of f, and :func:`unit_step` compares it with that one.  At the
+first match the rest of the orbit is known: since one migration commutes
+with rotation, pow(w, -1, n) mod t more migrations and one rotation give the
+answer, never more migrations than the plain iteration.
+``check_migration_laws`` certifies that commutation on every valid code of
+every cell it covers.
+
 The kernel is :func:`runs`, :func:`step` and :func:`unit_step` on plain entry
 tuples; the functions on :class:`Code` wrap it, and only :func:`decompose`
 builds :class:`Slime` objects.
@@ -168,14 +177,35 @@ def unit_migration_inverse(code: Code) -> Code:
 
 
 def unit_step(entries: tuple[int, ...], forward: bool) -> tuple[int, ...]:
-    """:func:`unit_migration` (or, backward, its inverse) on a plain entry tuple."""
+    """:func:`unit_migration` (or, backward, its inverse) on a plain entry tuple.
+
+    Writes a = pow(w, -1, n) and, when gcd(k, n) = 1, d = -w * pow(k, -1, n)
+    mod n (forward; +w * pow(k, -1, n) backward).  After t migrations the
+    weighted sum has moved by +-t * w, and the left rotation by s lowers it by
+    s * k, so f_t = F^t(f) can only be the rotation of f by s = t * d mod n.
+    At the first t where it is, a = q * t + r and, F commuting with the left
+    rotation R, F^a(f) = R^((q - 1) * s)(F^r(f_t)): r more migrations and one
+    rotation finish the step, t + r <= a migrations in all.  When
+    gcd(k, n) > 1 nothing is compared and all a migrations are made.
+    """
     n = len(entries)
     rs = runs(entries)[1]
     w = _weight(entries, rs)  # raises InvalidCodeError on invalid codes
     if gcd(w, n) != 1:
         raise NonCoprimeWeightError(
             f"weight {w} of {Code._trusted(entries)} is not invertible mod {n} (gcd {gcd(w, n)})")
+    a = pow(w, -1, n)
+    k = sum(entries)
+    d = (-w if forward else w) * pow(k, -1, n) % n if gcd(k, n) == 1 else 0  # d = 0: never compare
+    twice = entries + entries
     e = step(entries, rs, forward)
-    for _ in range(pow(w, -1, n) - 1):  # migration preserves validity, so every image has runs
+    for t in range(1, a):  # migration preserves validity, so every image has runs
+        s = t * d % n
+        if d and e == twice[s:s + n]:
+            q, r = divmod(a, t)
+            for _ in range(r):
+                e = step(e, runs(e)[1], forward)
+            s = (q - 1) * s % n
+            return e[s:] + e[:s]
         e = step(e, runs(e)[1], forward)
     return e

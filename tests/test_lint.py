@@ -11,6 +11,10 @@ method or property is referenced in the package or the benchmark harness.
 ``Code(...)`` validates its entries, so the package calls it only where
 outside input arrives; everything built inside uses ``Code._trusted``.
 
+Nothing in the package memoizes: no ``functools.cache``, ``lru_cache`` or
+``cached_property``.  A benchmark that repeats the same inputs every pass
+would time the cache instead of the kernel.
+
 A code or a necklace is written as its entries joined by commas in one
 place each, its ``__str__``; every output prints the object itself.
 
@@ -107,6 +111,23 @@ def test_every_public_function_is_referenced():
     assert PERFBENCH and dead == []
 
 
+MEMO_CACHES = {"cache", "lru_cache", "cached_property"}
+
+
+def test_no_memo_caches():
+    """No memoizing decorator from ``functools`` is imported, referenced or applied."""
+    found = [
+        f"{name}:{node.lineno} {ast.unparse(node)}"
+        for name, tree in MODULES.items()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.module == "functools"
+        and any(alias.name in MEMO_CACHES for alias in node.names)
+        or isinstance(node, ast.Name) and node.id in MEMO_CACHES
+        or isinstance(node, ast.Attribute) and node.attr in MEMO_CACHES
+    ]
+    assert MODULES and found == []
+
+
 def _calls(node: ast.AST, match, scope: str = "") -> list[tuple[str, int]]:
     """(enclosing definition, line) of each call under ``node`` for which ``match(call, scope)`` holds."""
     found = []
@@ -132,7 +153,7 @@ def _is_code_call(call: ast.Call, scope: str) -> bool:
 
 
 def test_code_validated_only_at_trust_boundaries():
-    boundaries = {"Code.parse", "load_riwi_map", "word_to_code"}
+    boundaries = {"Code.parse", "load_riwi_map"}
     calls = _package_calls(_is_code_call)
     inside = [f"{name}:{line} {scope}" for name, scope, line in calls if scope not in boundaries]
     assert {scope for _, scope, _ in calls} >= boundaries and inside == []

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -19,6 +20,7 @@ from neckslime import (
     unit_migration_inverse,
     weight,
 )
+from neckslime import slime
 from neckslime.cli import main
 from neckslime.slime import runs, step
 
@@ -252,6 +254,70 @@ class TestKernelAgainstOracle:
     @given(st.lists(st.integers(0, 5), min_size=1, max_size=31))
     def test_long_codes(self, entries):
         _against_oracle(tuple(entries))
+
+
+def runs_of_ones(rng: random.Random, n: int, w: int) -> tuple[int, ...]:
+    """A 0/1 code of odd length n and slime weight w, laid out as the point benchmark lays
+    out its codes: about four units of weight per run of 2h ones, runs apart by zeros, rotated."""
+    count = min(w, n - 2 * w, (w + 3) // 4)
+    cuts = sorted(rng.sample(range(1, w), count - 1))
+    halves = [b - a for a, b in zip([0, *cuts], [*cuts, w])]
+    gaps = [1] * count
+    for _ in range(n - 2 * w - count):
+        gaps[rng.randrange(count)] += 1
+    entries = [v for h, gap in zip(halves, gaps) for v in [1] * (2 * h) + [0] * gap]
+    shift = rng.randrange(n)
+    return tuple(entries[shift:] + entries[:shift])
+
+
+def count_steps(monkeypatch) -> dict:
+    calls = {"step": 0}
+
+    def counted(*args, _real=slime.step):
+        calls["step"] += 1
+        return _real(*args)
+
+    monkeypatch.setattr(slime, "step", counted)
+    return calls
+
+
+class TestUnitStepRotationShortcut:
+    """The unit step stops migrating once F^t(f) is a rotation of f; its images stay the oracle's."""
+
+    @pytest.mark.parametrize("n", [101, 257])
+    def test_runs_of_ones_against_oracle(self, n):
+        rng = random.Random(n)
+        for w in (1, 2, 5, 17, pow(3, -1, n), (n - 1) // 2):
+            f = Code(runs_of_ones(rng, n, w))
+            assert weight(f) == w
+            assert unit_migration(f).entries == slime_phi(f.entries)
+            assert unit_migration_inverse(f).entries == slime_phi(f.entries, forward=False)
+
+    @given(st.sampled_from([3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61]).flatmap(
+        lambda n: st.lists(st.integers(0, 3), min_size=n, max_size=n).map(tuple)))
+    def test_prime_lengths_against_oracle(self, entries):
+        phi = slime_phi(entries)
+        assume(phi is not None)
+        f = Code(entries)
+        assert unit_migration(f).entries == phi
+        assert unit_migration_inverse(f).entries == slime_phi(entries, forward=False)
+
+    def test_three_migrations_where_the_orbit_turns(self, monkeypatch):
+        f = Code(runs_of_ones(random.Random(1), 257, 2))
+        assert pow(weight(f), -1, 257) == 129
+        calls = count_steps(monkeypatch)
+        g = unit_migration(f)
+        assert calls == {"step": 3}
+        assert unit_migration_inverse(g) == f
+        assert calls == {"step": 6}
+
+    def test_every_migration_when_n_divides_k(self, monkeypatch):
+        f = Code((0, 0, 0, 0, 0, 0, 1, 0, 5, 0, 5))  # n = k = 11, w = 2
+        assert weight(f) == 2 and f.k == f.n
+        calls = count_steps(monkeypatch)
+        g = unit_migration(f)
+        assert calls == {"step": 6}  # pow(2, -1, 11)
+        assert g.entries == slime_phi(f.entries)
 
 
 def test_safety_checks_survive_optimize():
