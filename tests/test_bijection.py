@@ -1,11 +1,14 @@
 from __future__ import annotations
 
+import hashlib
 import json
+from collections import Counter
 from math import gcd
 
 import pytest
 
 from neckslime import (
+    BijectionTable,
     Code,
     RiwiMap,
     build_sigma,
@@ -21,8 +24,9 @@ from neckslime import (
     unit_migration,
     verify_riwi,
 )
+from neckslime import bijection
 from neckslime.bijection import DETAIL_CAP, sigma_table
-from neckslime.certify import check_riwi
+from neckslime.certify import CHECKS, check_riwi
 from neckslime.codes import weighted_sum
 
 
@@ -326,6 +330,44 @@ class TestBuildSigma:
     def test_metadata(self):
         table = build_sigma(3, 3, riwi_slime(3, 3), chooser="lexmax")
         assert table.riwi == "slime" and table.chooser == "lexmax"
+
+
+class TestSigmaTableRule:
+    def test_construction_of_every_cell_pinned(self, monkeypatch):
+        # which construction sigma_table picks, the chooser it hands build_sigma, or its refusal, at every
+        # 1 <= n <= 60, 0 <= k <= 60, and which CHECKS apply there; tables are not built (build_sigma is
+        # stubbed), so this pins the rule at cells far beyond the emitted-table digests
+        lines = []
+        # an unknown chooser: which refusal wins, with the real build_sigma
+        for n, k in [(6, 2), (3, 3), (2, 4), (4, 0)]:
+            with pytest.raises(ValueError) as info:
+                sigma_table(n, k, chooser="median")
+            lines.append(f"{n} {k} median ! {info.value}")
+        built = []
+
+        def stub(n, k, chi, chooser="lexmin"):
+            built.append((n, k, chi.descriptor, chooser))
+            return BijectionTable(n=n, k=k, riwi=chi.descriptor, chooser=chooser, pairs=())
+
+        monkeypatch.setattr(bijection, "build_sigma", stub)
+        outcomes = Counter()
+        for n in range(1, 61):
+            for k in range(61):
+                lines.append(f"{n} {k} checks {[name for name, (_, applies) in CHECKS.items() if applies(n, k)]}")
+                for chooser in ("lexmin", "lexmax"):
+                    del built[:]
+                    try:
+                        table = sigma_table(n, k, chooser)
+                    except ValueError as exc:
+                        outcomes["refused"] += 1
+                        lines.append(f"{n} {k} {chooser} ! {exc}")
+                        continue
+                    outcomes[table.riwi] += 1
+                    lines.append(f"{n} {k} {chooser} -> {table.riwi} {table.chooser} {built}")
+        digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+        assert dict(outcomes) == {"rotation": 2620, "slime": 1952, "refused": 2602, "none": 84,
+                                  "custom:n2-parity": 62}
+        assert digest == "5267ca6694981a556c569656250bb76f2677a85df10e97a48f57cc606db5460f"
 
 
 class TestPrimeBijection:
