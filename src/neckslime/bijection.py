@@ -17,8 +17,8 @@ Running this over every neck-class of the zero residue class yields a
 bijection between the full-period zero-residue codes and the full-period
 necklaces.  At prime n the only other code is the constant one (present
 when n | k); it pairs with the constant necklace, so the table covers all of
-F_{n,k,0}.  :func:`sigma_table` holds the rule that picks the built-in
-construction of a cell.
+F_{n,k,0}.  The ordered table :data:`CONSTRUCTIONS` holds the rule that
+picks the built-in construction of a cell, and :func:`sigma_table` reads it.
 
 Representatives default to the lexicographically smallest orbit member so
 emitted tables are reproducible; the chooser is recorded in the table
@@ -190,13 +190,13 @@ class BijectionTable:
         return rows
 
 
-_CHOOSERS: dict[str, Callable] = {"lexmin": min, "lexmax": max}
+CHOOSERS: dict[str, Callable] = {"lexmin": min, "lexmax": max}
 
 
 def _pick(chooser: str) -> Callable:
     """The representative chooser named ``chooser``."""
     try:
-        return _CHOOSERS[chooser]
+        return CHOOSERS[chooser]
     except KeyError:
         raise ValueError(f"unknown representative chooser {chooser!r}") from None
 
@@ -249,38 +249,38 @@ def _no_image(e: tuple[int, ...]) -> tuple[int, ...]:
 
 _N2_PARITY = RiwiMap(descriptor="custom:n2-parity", apply=lambda e: (e[0] - 1, e[1] + 1),
                      invert=lambda e: (e[0] + 1, e[1] - 1))
+_NONE = RiwiMap(descriptor="none", apply=_no_image, invert=_no_image)
+CONSTRUCTIONS: dict[str, tuple[Callable[[int, int], bool], Callable[[int, int], RiwiMap], str | None]] = {
+    "n2-parity": (lambda n, k: n == 2 and k % 2 == 0, lambda n, k: _N2_PARITY, "lexmax"),
+    "slime": (lambda n, k: n > 2 and is_prime(n), riwi_slime, None),
+    "rotation": (lambda n, k: gcd(n, k) == 1, riwi_rotation, None),
+    "none": (lambda n, k: k == 0, lambda n, k: _NONE, None),
+}
 
 
 def sigma_table(n: int, k: int, chooser: str = "lexmin") -> BijectionTable:
-    """The sigma table at (n, k) by the first built-in construction the cell admits.
+    """The sigma table at (n, k) by the first row of :data:`CONSTRUCTIONS` that applies.
 
-    * n = 2, even k: every length-2 code is invalid and rotation preserves
-      the residue, so no riwi map exists.  The parity rule is the sigma
-      construction under chi(a, b) = (a - 1, b + 1), which raises ws by 1
-      but is not rotation invariant, so the anchor is fixed at the larger
-      rotation, where chi stays nonnegative; the chooser is only recorded.
-      It pairs (x, y) with the necklace of (x, y) when x >= y and of
-      (y-1, x+1) otherwise.
-    * odd prime n: the slime riwi map.
-    * gcd(n, k) = 1: the rotation riwi map.
-    * k = 0: the constant code is the only code and :func:`build_sigma`
-      pairs it by itself, so the map, named ``none``, is never applied.
-    * any other cell has no built-in construction: ``ValueError``.
+    * ``n2-parity``, n = 2, even k: every length-2 code is invalid and
+      rotation preserves the residue, so no riwi map exists.  The parity rule
+      is the sigma construction under chi(a, b) = (a - 1, b + 1), which raises
+      ws by 1 but is not rotation invariant, so the anchor is fixed at the
+      larger rotation, where chi stays nonnegative; the chooser is only
+      checked and recorded.  It pairs (x, y) with the necklace of (x, y) when
+      x >= y and of (y-1, x+1) otherwise.
+    * ``slime``, odd prime n: the slime riwi map.
+    * ``rotation``, gcd(n, k) = 1: the rotation riwi map.
+    * ``none``, k = 0: the constant code is the only code and
+      :func:`build_sigma` pairs it by itself, so the map is never applied.
+    * a cell no row applies to has no built-in construction: ``ValueError``.
     """
     if n < 1 or k < 0:
         raise ValueError(f"sigma_table: need n >= 1 and k >= 0, got ({n}, {k})")
-    if n == 2 and k % 2 == 0:
-        _pick(chooser)  # rejects an unknown chooser, though this rule ignores it
-        return replace(build_sigma(2, k, _N2_PARITY, "lexmax"), chooser=chooser)
-    if n > 2 and is_prime(n):
-        chi = riwi_slime(n, k)
-    elif gcd(n, k) == 1:
-        chi = riwi_rotation(n, k)
-    elif k == 0:
-        chi = RiwiMap(descriptor="none", apply=_no_image, invert=_no_image)
-    else:
-        raise ValueError(f"no built-in construction for ({n}, {k}); supply a riwi map with --map FILE")
-    return build_sigma(n, k, chi, chooser)
+    for applies, chi, anchor in CONSTRUCTIONS.values():
+        if applies(n, k):
+            _pick(chooser)
+            return replace(build_sigma(n, k, chi(n, k), anchor or chooser), chooser=chooser)
+    raise ValueError(f"no built-in construction for ({n}, {k}); supply a riwi map with --map FILE")
 
 
 def prime_bijection(n: int, k: int, chooser: str = "lexmin") -> BijectionTable:

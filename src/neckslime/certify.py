@@ -20,10 +20,11 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from math import comb, gcd
+from math import comb
 from typing import Callable, Iterator
 
-from .bijection import RiwiMap, Tally, prime_bijection, riwi_rotation, riwi_slime, verify_riwi
+from .bijection import (CHOOSERS, CONSTRUCTIONS, RiwiMap, Tally, prime_bijection, riwi_rotation, riwi_slime,
+                        verify_riwi)
 from .codes import Code, enumerate_codes, is_prime, weighted_sum
 from .necklaces import count_necklaces, enumerate_necklaces
 from .slime import _weight, runs, step
@@ -189,7 +190,7 @@ def check_prime_bijection(n: int, k: int) -> Certificate:
     never break bijectivity.
     """
     t0 = time.perf_counter()
-    tables = {chooser: prime_bijection(n, k, chooser) for chooser in ("lexmin", "lexmax")}
+    tables = {chooser: prime_bijection(n, k, chooser) for chooser in CHOOSERS}
     expected_codes = list(enumerate_codes(n, k, t=0))
     domain = set(expected_codes)
     all_necklaces = set(enumerate_necklaces(n, k))
@@ -213,8 +214,8 @@ def check_prime_bijection(n: int, k: int) -> Certificate:
             tally.fail(f"{chooser}: not surjective: unreached necklaces {[f'<{m}>' for m in missing]}")
         if len(table.pairs) != expected:
             tally.fail(f"{chooser}: table has {len(table.pairs)} pairs, necklace count is {expected}")
-    info = {"pairs": len(tables["lexmin"].pairs),
-            "choosers_agree": tables["lexmin"].pairs == tables["lexmax"].pairs}
+    first, *others = (table.pairs for table in tables.values())
+    info = {"pairs": len(first), "choosers_agree": all(pairs == first for pairs in others)}
     return _certificate("prime-bijection", n, k, tally, t0, info)
 
 
@@ -222,10 +223,9 @@ CHECKS: dict[str, tuple[Callable[[int, int], Certificate], Callable[[int, int], 
     "invalid-constant": (check_invalid_iff_constant, lambda n, k: n % 2 == 1),
     "migration-laws": (check_migration_laws, lambda n, k: True),
     "count-identity": (check_count_identity, lambda n, k: True),
-    "riwi-slime": (lambda n, k: check_riwi("riwi-slime", riwi_slime(n, k), n, k),
-                   lambda n, k: n != 2 and is_prime(n)),
+    "riwi-slime": (lambda n, k: check_riwi("riwi-slime", riwi_slime(n, k), n, k), CONSTRUCTIONS["slime"][0]),
     "riwi-rotation": (lambda n, k: check_riwi("riwi-rotation", riwi_rotation(n, k), n, k),
-                      lambda n, k: gcd(n, k) == 1),
+                      CONSTRUCTIONS["rotation"][0]),
     "prime-bijection": (check_prime_bijection, lambda n, k: is_prime(n)),
 }
 

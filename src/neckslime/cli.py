@@ -42,7 +42,7 @@ import re
 import sys
 from typing import Callable, Iterator
 
-from .bijection import build_sigma, load_riwi_map, sigma_table, verify_riwi
+from .bijection import CHOOSERS, build_sigma, load_riwi_map, sigma_table, verify_riwi
 from .certify import CHECKS, Certificate, Envelope, check_riwi, run_cell, run_sweep, summarize
 from .codes import Code, enumerate_codes, is_prime
 from .necklaces import canonicalize, code_to_word, count_necklaces, enumerate_necklaces, word_to_code
@@ -246,7 +246,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bijection", parents=[cell], help="emit a code-to-necklace table")
     p.add_argument("--map", default=None, metavar="FILE", help="custom riwi map (JSON pairs)")
-    p.add_argument("--chooser", choices=("lexmin", "lexmax"), default="lexmin")
+    p.add_argument("--chooser", choices=tuple(CHOOSERS), default="lexmin")
     p.add_argument("--format", choices=("json", "csv", "text"), default="json", help="output format")
     p.set_defaults(func=_cmd_bijection)
 

@@ -37,6 +37,11 @@ class TestRiwiRotation:
         with pytest.raises(ValueError):
             riwi_rotation(6, 4)
 
+    def test_length_zero_refused(self):
+        with pytest.raises(ValueError) as info:
+            riwi_rotation(0, 1)
+        assert str(info.value) == "riwi_rotation: need n >= 1, got 0"
+
     def test_shift_on_sample_code(self):
         chi = riwi_rotation(3, 7)
         g = chi.apply((2, 1, 4))

@@ -19,6 +19,7 @@ from neckslime import (
     summarize,
 )
 from neckslime import certify
+from neckslime.bijection import CONSTRUCTIONS
 from neckslime.certify import (
     check_count_identity,
     check_invalid_iff_constant,
@@ -40,6 +41,12 @@ class TestInvalidConstant:
     def test_even_n_rejected(self):
         with pytest.raises(ValueError):
             check_invalid_iff_constant(4, 4)
+
+    def test_failure_names_code(self, monkeypatch):
+        real = certify.runs
+        monkeypatch.setattr(certify, "runs", lambda e: (3, None) if e == (2, 1, 0) else real(e))
+        cert = check_invalid_iff_constant(3, 3)
+        assert (cert.failure_count, cert.counterexamples) == (1, ("2,1,0: invalid=True but constant=False",))
 
 
 class TestMigrationLaws:
@@ -100,6 +107,68 @@ class TestMigrationLaws:
         assert not cert.passed
         assert any(detail.startswith("2,1,0: ") for detail in cert.counterexamples)
 
+    @staticmethod
+    def broken_at(monkeypatch, name, entries, change):
+        """Patch ``certify.<name>`` so that ``change`` rewrites its result on ``entries`` only."""
+        real = getattr(certify, name)
+
+        def patched(e, *args):
+            out = real(e, *args)
+            return change(out) if e == entries else out
+
+        monkeypatch.setattr(certify, name, patched)
+
+    def test_changed_m_fails(self, monkeypatch):
+        self.broken_at(monkeypatch, "runs", (2, 1, 0), lambda out: (out[0] + 1, out[1]))
+        cert = check_migration_laws(3, 3)
+        assert cert.failure_count == 4
+        assert list(cert.counterexamples) == [
+            "1,2,0: backward image changed m 3 -> 4",
+            "2,1,0: forward image changed m 4 -> 3",
+            "2,1,0: backward image changed m 4 -> 3",
+            "3,0,0: forward image changed m 3 -> 4",
+        ]
+
+    def test_changed_slime_count_fails(self, monkeypatch):
+        # a run of length 1 moves nothing, so only the slime count changes
+        self.broken_at(monkeypatch, "runs", (2, 1, 0), lambda out: (out[0], out[1] + ((2, 1),)))
+        cert = check_migration_laws(3, 3)
+        assert cert.failure_count == 4
+        assert list(cert.counterexamples) == [
+            "1,2,0: backward image changed slime count",
+            "2,1,0: forward image changed slime count",
+            "2,1,0: backward image changed slime count",
+            "3,0,0: forward image changed slime count",
+        ]
+
+    def test_weight_out_of_range_fails(self, monkeypatch):
+        self.broken_at(monkeypatch, "_weight", (2, 1, 0), lambda w: 0)
+        cert = check_migration_laws(3, 3)
+        assert cert.failure_count == 7
+        assert list(cert.counterexamples) == [
+            "1,2,0: backward image changed weight 1 -> 0",
+            "2,1,0: weight 0 outside [1, 1]",
+            "2,1,0: forward image changed weight 0 -> 1",
+            "2,1,0: backward image changed weight 0 -> 1",
+            "2,1,0: forward ws shift is not +0",
+            "2,1,0: backward ws shift is not +0",
+            "3,0,0: forward image changed weight 1 -> 0",
+        ]
+
+    def test_changed_weight_fails(self, monkeypatch):
+        # weight 2 is in range at n = 5, so only the comparisons with the images fail
+        self.broken_at(monkeypatch, "_weight", (2, 1, 0, 0, 0), lambda w: w + 1)
+        cert = check_migration_laws(5, 3)
+        assert cert.failure_count == 6
+        assert list(cert.counterexamples) == [
+            "1,2,0,0,0: backward image changed weight 1 -> 2",
+            "2,1,0,0,0: forward image changed weight 2 -> 1",
+            "2,1,0,0,0: backward image changed weight 2 -> 1",
+            "2,1,0,0,0: forward ws shift is not +2",
+            "2,1,0,0,0: backward ws shift is not -2",
+            "3,0,0,0,0: forward image changed weight 1 -> 2",
+        ]
+
     @pytest.mark.parametrize("n, k", [(7, 5), (11, 6)])
     def test_one_decomposition_and_two_steps_per_code(self, monkeypatch, n, k):
         calls = {"runs": 0, "step": 0}
@@ -143,6 +212,16 @@ class TestCountIdentity:
         assert cert.passed
         assert cert.info["zero_class_matches"] == (cert.info["zero_class"] == cert.info["formula"])
 
+    def test_failures_name_both_counts(self, monkeypatch):
+        real = certify.count_necklaces
+        monkeypatch.setattr(certify, "count_necklaces", lambda n, k: real(n, k) + 1)
+        cert = check_count_identity(3, 3)
+        assert cert.failure_count == 2
+        assert list(cert.counterexamples) == [
+            "formula 5 != enumerated 4",
+            "odd n: |zero residue class| 4 != necklace count 5",
+        ]
+
 
 class TestRiwiChecks:
     def test_slime_cells(self):
@@ -164,6 +243,14 @@ class TestRiwiChecks:
     def test_rotation_noncoprime_rejected(self):
         with pytest.raises(ValueError):
             run_cell(6, 4, "riwi-rotation")
+
+    def test_cells_come_from_the_constructions_table(self):
+        assert CHECKS["riwi-slime"][1] is CONSTRUCTIONS["slime"][0]
+        assert CHECKS["riwi-rotation"][1] is CONSTRUCTIONS["rotation"][0]
+
+    def test_constructions_in_order(self):
+        # the first row that applies serves a cell, so the order decides (2, 0), (3, 0) and (1, k)
+        assert list(CONSTRUCTIONS) == ["n2-parity", "slime", "rotation", "none"]
 
 
 class TestPrimeBijectionCheck:

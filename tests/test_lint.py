@@ -18,6 +18,11 @@ would time the cache instead of the kernel.
 A code or a necklace is written as its entries joined by commas in one
 place each, its ``__str__``; every output prints the object itself.
 
+Which built-in sigma construction serves a cell is decided in one place,
+the rows of ``bijection.CONSTRUCTIONS``: ``sigma_table`` tests no primality
+or gcd of its own, and ``certify`` takes its riwi checks' cells from those
+rows.
+
 The command line prints every single result in one function and every
 stream of certificates in another; only the commands with an output shape
 of their own (``count``, ``enum``, ``bijection``) print elsewhere.
@@ -171,6 +176,20 @@ def test_comma_literals_are_written_once():
     elsewhere = [f"{name}:{line} {scope}" for name, scope, line in calls if scope not in owners]
     assert elsewhere == []
     assert {scope for _, scope, _ in calls} == owners
+
+
+def _calls_named(*names: str):
+    """A call matcher for a bare name or an attribute in ``names``, such as ``gcd(...)`` or ``math.gcd(...)``."""
+    return lambda call, scope: getattr(call.func, "id", getattr(call.func, "attr", None)) in names
+
+
+def test_cell_rules_live_in_the_constructions_table():
+    in_sigma_table = [f"bijection.py:{line} {scope}" for scope, line in
+                      _calls(MODULES["bijection.py"], _calls_named("is_prime", "gcd")) if scope == "sigma_table"]
+    in_certify = [f"certify.py:{line} {scope or '<module>'}" for scope, line in
+                  _calls(MODULES["certify.py"], _calls_named("gcd"))]
+    assert in_sigma_table == [] and in_certify == []
+    assert any(isinstance(node, ast.FunctionDef) and node.name == "sigma_table" for node in MODULES["bijection.py"].body)
 
 
 def _is_print(call: ast.Call, scope: str) -> bool:

@@ -149,6 +149,12 @@ class TestMigration:
         with pytest.raises(InvalidCodeError):
             migrate_backward(Code((1, 1, 1)))
 
+    def test_step_refuses_runs_that_are_not_the_slimes(self):
+        # (0, 2) is no hot run of (0, 1, 1): moving a unit out of position 0 leaves -1 there
+        with pytest.raises(InvalidCodeError) as info:
+            step((0, 1, 1), ((0, 2),), True)
+        assert str(info.value) == "migration produced a negative entry: ((0, 2),) are not the slimes of (0, 1, 1)"
+
     @given(valid_codes)
     def test_round_trip(self, f):
         assert migrate_backward(migrate_forward(f)) == f
