@@ -278,7 +278,7 @@ def sigma_table(n: int, k: int, chooser: str = "lexmin") -> BijectionTable:
         raise ValueError(f"sigma_table: need n >= 1 and k >= 0, got ({n}, {k})")
     for applies, chi, anchor in CONSTRUCTIONS.values():
         if applies(n, k):
-            _pick(chooser)
+            _pick(chooser)  # an anchored row ignores the chooser but still refuses an unknown one
             return replace(build_sigma(n, k, chi(n, k), anchor or chooser), chooser=chooser)
     raise ValueError(f"no built-in construction for ({n}, {k}); supply a riwi map with --map FILE")
 

@@ -156,7 +156,7 @@ class TestMigrationLaws:
         ]
 
     def test_changed_weight_fails(self, monkeypatch):
-        # weight 2 is in range at n = 5, so only the comparisons with the images fail
+        # weight 2 is in range at n = 5: only the images' weights and the ws shifts disagree with it
         self.broken_at(monkeypatch, "_weight", (2, 1, 0, 0, 0), lambda w: w + 1)
         cert = check_migration_laws(5, 3)
         assert cert.failure_count == 6
