@@ -110,6 +110,21 @@ class TestEnumCount:
         p = run("enum", "codes", "3", "3", "--full-period", "--format", "text")
         assert "1,1,1" not in p.stdout.split()
 
+    # sha256 over (argv, stdout, stderr, exit code) of every call below, in loop order
+    ENUM_SHA256 = "c8ab962dfd79ada65a6d6ba7a96100c05470686af4ffa07f8273ec5b1a80da45"
+
+    def test_every_small_enum(self, capsys):
+        argvs = [["enum", "codes", str(n), str(k), "--format", fmt, *flags]
+                 for n in range(1, 7) for k in range(7) for fmt in ("json", "text")
+                 for flags in ([], ["--t", "0"], ["--t", "-1"], ["--full-period"])]
+        argvs += [["enum", "necklaces", str(n), str(k), "--format", "json"] for n in range(1, 7) for k in range(7)]
+        digest = hashlib.sha256()
+        for argv in argvs:
+            status = main(argv)
+            captured = capsys.readouterr()
+            digest.update(json.dumps([argv, captured.out, captured.err, status]).encode())
+        assert len(argvs) == 42 * 8 + 42 and digest.hexdigest() == self.ENUM_SHA256
+
     def test_count_text(self):
         p = run("count", "3", "3", "--format", "text")
         assert p.returncode == 0 and p.stdout.strip() == "formula=4 enumerated=4"

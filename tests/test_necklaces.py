@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import sys
 from math import gcd
 
@@ -197,6 +198,19 @@ class TestEnumerate:
         assert len(necks) == count_necklaces(n, k)
         full = [neck.canonical for neck in enumerate_necklaces(n, k, full_period_only=True)]
         assert full == [e for e in necks if tuple_period(e) == n]
+
+    def test_every_small_cell_pinned(self):
+        # sha256 of the necklace list of every cell with n + k <= 20 and of two cells deeper than the
+        # recursion limit, under both flags, in loop order
+        cells = [(n, k) for n in range(1, 21) for k in range(21 - n)] + [(1100, 2), (1200, 1)]
+        digest = hashlib.sha256()
+        for n, k in cells:
+            for full_period_only in (False, True):
+                necks = enumerate_necklaces(n, k, full_period_only)
+                digest.update(f"{n} {k} {full_period_only} {len(necks)}\n".encode())
+                digest.update("".join(f"{neck}\n" for neck in necks).encode())
+        assert len(cells) == 212
+        assert digest.hexdigest() == "e98bbc09a8aed49a15ce9006710441e23515cd7e28b881def102e4d8cba6d076"
 
     @pytest.mark.parametrize("k", [1, 2])
     def test_deeper_than_recursion_limit(self, k):
