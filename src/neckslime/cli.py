@@ -6,15 +6,18 @@ payloads never do).  Output defaults to JSON; ``--format text`` switches to
 terse human-readable lines, and bijection tables additionally offer CSV.
 
 Each subcommand names the library call that makes its result, and one of
-two printers prints it.  ``_cmd_show`` prints a single result (``slimes``,
+three printers prints it.  ``_cmd_show`` prints a single result (``slimes``,
 ``migrate``, ``phi``, ``ws``, ``rotate``, ``period``, ``canon``, ``word``,
 ``unword``): in JSON its ``to_json_dict()``, or a plain number or word keyed
-by the command name; in text its ``str()``.  ``_print_certificates`` prints
-the certificates of ``verify``, ``sweep`` and ``verify-riwi``: in JSON one
-line per certificate, flushed as soon as its check has finished; in text
-the summary table, then each counterexample of a failed certificate.
-``count``, ``enum`` and ``bijection`` print their own shapes; ``bijection``
-takes a ``--map`` file that passes ``verify_riwi``, else runs
+by the command name; in text its ``str()``.  ``_cmd_enum`` prints the lists
+of ``enum codes`` and ``enum necklaces``, one item a line: in JSON its
+``to_json_dict()``, in text the line the subcommand declares (a code's
+``str()``; a necklace's ``str()`` and bead word).  ``_print_certificates``
+prints the certificates of ``verify``, ``sweep`` and ``verify-riwi``: in
+JSON one line per certificate, flushed as soon as its check has finished;
+in text the summary table, then each counterexample of a failed
+certificate.  ``count`` and ``bijection`` print their own shapes;
+``bijection`` takes a ``--map`` file that passes ``verify_riwi``, else runs
 ``sigma_table`` at (n, k).
 
 Exit codes: 0 success / verified; 1 verification failure, a violated
@@ -122,15 +125,10 @@ def _migrated(args: argparse.Namespace) -> Code:
     return code
 
 
-def _cmd_enum_codes(args: argparse.Namespace) -> int:
-    for code in enumerate_codes(args.n, args.k, t=args.t, full_period_only=args.full_period):
-        print(json.dumps(code.to_json_dict()) if args.format == "json" else code)
-    return 0
-
-
-def _cmd_enum_necklaces(args: argparse.Namespace) -> int:
-    for neck in enumerate_necklaces(args.n, args.k, full_period_only=args.full_period):
-        print(json.dumps(neck.to_json_dict()) if args.format == "json" else f"{neck} {neck.word}")
+def _cmd_enum(args: argparse.Namespace) -> int:
+    """Print each of ``args.items(args)`` on a line: its JSON record, or ``args.text(item)``."""
+    for item in args.items(args):
+        print(json.dumps(item.to_json_dict()) if args.format == "json" else args.text(item))
     return 0
 
 
@@ -235,11 +233,13 @@ def build_parser() -> argparse.ArgumentParser:
     q = enum_sub.add_parser("codes", parents=[cell, fmt], help="codes of given length and content")
     q.add_argument("--t", type=_int, default=None, help="restrict to one weighted-sum residue")
     q.add_argument("--full-period", action="store_true")
-    q.set_defaults(func=_cmd_enum_codes)
+    q.set_defaults(func=_cmd_enum, text=str,
+                   items=lambda a: enumerate_codes(a.n, a.k, t=a.t, full_period_only=a.full_period))
 
     q = enum_sub.add_parser("necklaces", parents=[cell, fmt], help="necklaces of given bead counts")
     q.add_argument("--full-period", action="store_true")
-    q.set_defaults(func=_cmd_enum_necklaces)
+    q.set_defaults(func=_cmd_enum, text=lambda m: f"{m} {m.word}",
+                   items=lambda a: enumerate_necklaces(a.n, a.k, full_period_only=a.full_period))
 
     p = sub.add_parser("count", parents=[cell, fmt], help="necklace count: closed formula vs enumeration")
     p.set_defaults(func=_cmd_count)

@@ -14,9 +14,15 @@ The number of such necklaces is
     (1 / (n+k)) * sum over d | gcd(n, k) of phi(d) * C((n+k)/d, n/d)
 
 which this module evaluates exactly (the division is checked to be exact).
-That count also equals the number of codes in the zero residue class.
-The certification checks judge that match at odd n, where they lean on it,
-and only record it at even n, where no cell checked so far breaks it.
+At every n that count also equals the number of codes in the zero residue
+class.  A roots-of-unity filter counts the codes of residue r as
+
+    (1 / n) * sum over d | gcd(n, k) of c_d(r) * C((n+k)/d - 1, k/d)
+
+with c_d Ramanujan's sum.  At r = 0, c_d(0) = phi(d), and
+C((n+k)/d - 1, k/d) / n = C((n+k)/d, n/d) / (n+k), so the two sums agree
+term by term.  The ``count-identity`` certificate judges the match at odd n
+and, until its pinned output is redone, only records it at even n.
 
 :func:`enumerate_necklaces` generates the necklaces themselves with the
 Fredricksen-Kessler-Maiorana prenecklace walk restricted to fixed content
@@ -142,44 +148,44 @@ def enumerate_necklaces(n: int, k: int, full_period_only: bool = False) -> list[
 def _generate(n: int, k: int, full_period_only: bool) -> list[Necklace]:
     """The non-constant necklaces of length n >= 2 and content k >= 1, in order.
 
-    Depth t holds the prefix a[0..t] with its period ``per[t]`` and the
-    content ``left[t]`` not yet placed.  The walk stops at depth n - 2,
-    where the last entry is forced.
+    Depth t holds the prefix a[0..t] and two counters: ``p``, the period of
+    the prefix, and ``left``, the content not yet placed.  The walk reaches
+    depth t only by descending, which keeps p, or by raising a[t], which
+    makes p = t + 1, so no older period is ever needed.  ``left`` drops by
+    the entry placed on descent, by 1 on a raise, and gets a[t] back when the
+    walk climbs from depth t.  The walk stops at depth n - 2, where the last
+    entry is forced to take all the content left.  There p <= n - 1: a last
+    entry above a[n - 1 - p] gives full period, and one equal to it keeps
+    period p, a necklace when p divides n.
     """
     out: list[Necklace] = []
     a = [0] * n
-    per = [1] * n
-    left = [k] * n
+    p = 1
+    left = k
     last = n - 1
     t = 0
     while True:
         if t < last - 1:
-            p = per[t]
             v = a[t + 1 - p]
-            if left[t] - v > (last - t - 1) * a[0]:
+            if left - v > (last - t - 1) * a[0]:
                 t += 1
                 a[t] = v
-                per[t] = p
-                left[t] = left[t - 1] - v
+                left -= v
                 continue
             # the least child is out of reach, so every child is: move on from depth t
         else:
-            v = left[t]
-            p = per[t]
             u = a[last - p]
-            if v >= u:
-                if v > u:
-                    p = n
-                if p == n or (not full_period_only and n % p == 0):
-                    a[last] = v
-                    out.append(Necklace(canonical=tuple(a)))
+            if left > u or (left == u and not full_period_only and n % p == 0):
+                a[last] = left
+                out.append(Necklace(canonical=tuple(a)))
         # next prefix in lexicographic order: raise the deepest entry that can rise
         while True:
             a[t] += 1
-            left[t] -= 1
-            per[t] = t + 1
-            if left[t] > (last - t) * a[0]:
+            left -= 1
+            if left > (last - t) * a[0]:
+                p = t + 1
                 break
             if t == 0:
                 return out
+            left += a[t]
             t -= 1

@@ -374,6 +374,23 @@ class TestSigmaTableRule:
                                   "custom:n2-parity": 62}
         assert digest == "5267ca6694981a556c569656250bb76f2677a85df10e97a48f57cc606db5460f"
 
+    def test_every_built_table_is_a_bijection(self):
+        # composite n, n = 2 and k = 0 included: the prime-bijection certificate reaches prime n only
+        built = set()
+        for n in range(1, 17):
+            for k in range(17 - n):
+                try:
+                    tables = [sigma_table(n, k, chooser) for chooser in ("lexmin", "lexmax")]
+                except ValueError:
+                    continue
+                built.add((n, k))
+                codes = list(enumerate_codes(n, k, t=0))
+                necks = [m.canonical for m in enumerate_necklaces(n, k)]
+                for table in tables:
+                    assert [c for c, _ in table.pairs] == codes, (n, k, table.chooser)
+                    assert sorted(m.canonical for _, m in table.pairs) == necks, (n, k, table.chooser)
+        assert {(4, 3), (9, 4), (2, 6), (4, 0)} <= built and len(built) == 109
+
 
 class TestPrimeBijection:
     def test_worked_3_3(self):

@@ -197,10 +197,9 @@ def _is_print(call: ast.Call, scope: str) -> bool:
 
 
 def test_cli_prints_through_its_printers():
-    """Single results print through ``_cmd_show`` and certificates through ``_print_certificates``;
-    only the commands with an output shape of their own print elsewhere."""
-    printers = {"_cmd_show", "_print_certificates", "_cmd_count", "_cmd_enum_codes", "_cmd_enum_necklaces",
-                "_cmd_bijection", "main"}
+    """Single results print through ``_cmd_show``, enumerations through ``_cmd_enum`` and certificates
+    through ``_print_certificates``; only the commands with an output shape of their own print elsewhere."""
+    printers = {"_cmd_show", "_print_certificates", "_cmd_count", "_cmd_enum", "_cmd_bijection", "main"}
     calls = _calls(MODULES["cli.py"], _is_print)
     elsewhere = [f"cli.py:{line} {scope}" for scope, line in calls if scope not in printers]
     assert calls and elsewhere == []
