@@ -9,6 +9,7 @@ import re
 import shlex
 import subprocess
 import sys
+import threading
 from math import gcd
 from pathlib import Path
 
@@ -301,6 +302,22 @@ class TestBijectionCommand:
             status = main(argv)
             digest.update(json.dumps([argv, capsys.readouterr().out, status]).encode())
         assert len(argvs) == 360 + 112 and digest.hexdigest() == self.TEXT_SHA256
+
+    # sha256 of the tables and necklace lists below, whose entries reach two and three digits, in loop order
+    MULTI_DIGIT_SHA256 = "f293c40b88c798c70b180eeee6aa619a792f7b35366e55c7f277a44bf392bd81"
+
+    def test_multi_digit_cells(self, capsys):
+        cells = [(1, 100), *((2, k) for k in range(10, 25)), (3, 12), (5, 15)]
+        argvs = [["bijection", str(n), str(k), "--chooser", chooser, "--format", fmt]
+                 for n, k in cells for chooser in ("lexmin", "lexmax") for fmt in ("json", "csv", "text")]
+        argvs += [["enum", "necklaces", str(n), str(k), "--format", fmt] for n, k in cells for fmt in ("text", "json")]
+        digest = hashlib.sha256()
+        for argv in argvs:
+            status = main(argv)
+            out, err = capsys.readouterr()
+            assert status == 0 and err == "", argv
+            digest.update(json.dumps([argv, out]).encode())
+        assert len(argvs) == 18 * 8 and digest.hexdigest() == self.MULTI_DIGIT_SHA256
 
     def test_chooser_flag(self):
         got = json.loads(run("bijection", "3", "3", "--chooser", "lexmax").stdout)
@@ -648,3 +665,20 @@ class TestExitCodes:
             err = p.stderr.read()
             assert p.wait(timeout=60) == 1
         assert err == ""
+
+    def test_enum_codes_streams(self):
+        """A cell too large to finish still prints its first line at once, and a closed pipe ends it quietly."""
+        argv = [sys.executable, "-m", "neckslime", "enum", "codes", "40", "40"]
+        with subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True) as p:
+            watchdog = threading.Timer(60, p.kill)  # a child that never prints is killed, so readline returns ""
+            watchdog.start()
+            try:
+                first = p.stdout.readline()
+                p.stdout.close()
+                err = p.stderr.read()
+                status = p.wait(timeout=60)
+            finally:
+                watchdog.cancel()
+                p.kill()
+        assert json.loads(first)["entries"] == [0] * 39 + [40]
+        assert status == 1 and err == ""
