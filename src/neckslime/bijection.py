@@ -35,6 +35,7 @@ import json
 from dataclasses import dataclass, field, replace
 from functools import partial
 from math import gcd
+from operator import itemgetter
 from pathlib import Path
 from typing import Callable, Iterable
 
@@ -184,10 +185,7 @@ class BijectionTable:
         }
 
     def to_csv_rows(self) -> list[list[str]]:
-        rows = [["code", "necklace", "word"]]
-        for c, m in self.pairs:
-            rows.append([str(c), str(m), m.word])
-        return rows
+        return [["code", "necklace", "word"]] + [[str(c), str(m), m.word] for c, m in self.pairs]
 
 
 CHOOSERS: dict[str, Callable] = {"lexmin": min, "lexmax": max}
@@ -223,24 +221,24 @@ def build_sigma(n: int, k: int, chi: RiwiMap, chooser: str = "lexmin") -> Biject
     g = gcd(n, k)
     q = n // g
     step = pow(k // g, -1, q)
-    pairs: list[tuple[Code, Necklace]] = []
+    pairs: list[tuple[tuple[int, ...], Necklace]] = []
     for neck in enumerate_necklaces(n, k, full_period_only=True):
         e = neck.canonical
         ws = weighted_sum(e)
         if ws % g:
             continue
         rep = pick([e[s:] + e[:s] for s in range(ws // g * step % q, n, q)])
-        pairs.append((Code._trusted(rep), neck))
+        pairs.append((rep, neck))
         image = rep
         for s in range(q, n, q):
             image = chi.apply(image)
-            pairs.append((Code._trusted(rep[s:] + rep[:s]), canonicalize(Code._trusted(image))))
+            pairs.append((rep[s:] + rep[:s], canonicalize(Code._trusted(image))))
     if n > 1 and k % n == 0:
-        const = Code._trusted((k // n,) * n)
-        if const.weighted_sum() == 0:
-            pairs.append((const, canonicalize(const)))
-    pairs.sort(key=lambda p: p[0].entries)
-    return BijectionTable(n=n, k=k, riwi=chi.descriptor, chooser=chooser, pairs=tuple(pairs))
+        const = (k // n,) * n
+        if weighted_sum(const) == 0:
+            pairs.append((const, Necklace(const)))
+    pairs.sort(key=itemgetter(0))
+    return BijectionTable(n, k, chi.descriptor, chooser, tuple([(Code._trusted(c), m) for c, m in pairs]))
 
 
 def _no_image(e: tuple[int, ...]) -> tuple[int, ...]:

@@ -126,9 +126,9 @@ def _migrated(args: argparse.Namespace) -> Code:
 
 
 def _cmd_enum(args: argparse.Namespace) -> int:
-    """Print each of ``args.items(args)`` on a line: its JSON record, or ``args.text(item)``."""
-    for item in args.items(args):
-        print(json.dumps(item.to_json_dict()) if args.format == "json" else args.text(item))
+    """Write each of ``args.items(args)`` on a line as it comes: its JSON record, or ``args.text(item)``."""
+    line = (lambda item: json.dumps(item.to_json_dict())) if args.format == "json" else args.text
+    sys.stdout.writelines(f"{line(item)}\n" for item in args.items(args))
     return 0
 
 
@@ -154,11 +154,9 @@ def _cmd_bijection(args: argparse.Namespace) -> int:
     if args.format == "json":
         print(json.dumps(table.to_json_dict()))
     elif args.format == "csv":
-        writer = csv.writer(sys.stdout, lineterminator="\n")
-        writer.writerows(table.to_csv_rows())
+        csv.writer(sys.stdout, lineterminator="\n").writerows(table.to_csv_rows())
     else:
-        for code, neck in table.pairs:
-            print(f"{code} -> {neck} {neck.word}")
+        sys.stdout.writelines(f"{code} -> {neck} {neck.word}\n" for code, neck in table.pairs)
     return 0
 
 

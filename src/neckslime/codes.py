@@ -113,7 +113,7 @@ class Code:
                 raise TypeError(f"code entries must be integers, got {v!r}")
             if v < 0:
                 raise ValueError(f"code entries must be nonnegative, got {v}")
-        object.__setattr__(self, "entries", entries)
+        _set_entries(self, entries)
 
     @classmethod
     def _trusted(cls, entries: tuple[int, ...]) -> "Code":
@@ -124,7 +124,7 @@ class Code:
         :meth:`parse`.
         """
         code = object.__new__(cls)
-        object.__setattr__(code, "entries", entries)
+        _set_entries(code, entries)
         return code
 
     @property
@@ -174,10 +174,19 @@ class Code:
         return cls(tuple(map(int, literal.split(","))))
 
     def __str__(self) -> str:
-        return ",".join(map(str, self.entries))
+        return _comma_literal(self.entries)
 
     def to_json_dict(self) -> dict:
         return {"entries": list(self.entries), "n": self.n, "k": self.k}
+
+
+# the slot's own setter, which the frozen dataclass's __setattr__ would refuse
+_set_entries = Code.entries.__set__
+
+
+def _comma_literal(entries: tuple[int, ...]) -> str:
+    """The literal ``0,0,3`` of an entry tuple: its entries in decimal, joined by commas."""
+    return ("%d," * len(entries))[:-1] % entries
 
 
 def enumerate_codes(

@@ -35,7 +35,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import comb, gcd
 
-from .codes import Code, _prime_factors, divisors
+from .codes import Code, _comma_literal, _prime_factors, divisors
 
 
 class NecklaceCountError(ValueError):
@@ -64,13 +64,13 @@ class Necklace:
 
     @property
     def word(self) -> str:
-        return code_to_word(Code._trusted(self.canonical))
+        return _bead_word(self.canonical)
 
     def to_json_dict(self) -> dict:
         return {"canonical": list(self.canonical), "word": self.word}
 
     def __str__(self) -> str:
-        return ",".join(map(str, self.canonical))
+        return _comma_literal(self.canonical)
 
 
 def canonicalize(code: Code) -> Necklace:
@@ -88,11 +88,16 @@ def canonicalize(code: Code) -> Necklace:
     v = min(e)
     twice = e + e
     candidates = [twice[s:s + n] for s in range(n) if e[s] == v and e[s - 1] != v]
-    return Necklace(canonical=min(candidates, default=e))
+    return Necklace(min(candidates, default=e))
 
 
 def code_to_word(code: Code) -> str:
-    return "".join("B" + "W" * v for v in code.entries)
+    return _bead_word(code.entries)
+
+
+def _bead_word(entries: tuple[int, ...]) -> str:
+    """The bead word of an entry tuple: a black bead before each gap's run of white beads."""
+    return "B" + "B".join(["W" * v for v in entries])
 
 
 def word_to_code(word: str) -> Code:
@@ -102,9 +107,8 @@ def word_to_code(word: str) -> Code:
     if "B" not in word:
         raise ValueError(f"bead word needs at least one black bead, got {word!r}")
     start = word.index("B")
-    aligned = word[start:] + word[:start]
-    # the word holds only B and W and starts with a B, so the gaps are a nonempty tuple of nonnegative ints
-    return Code._trusted(tuple(len(run) for run in aligned[1:].split("B")))
+    # the word holds only B and W, so the gaps after its first B are a nonempty tuple of nonnegative ints
+    return Code._trusted(tuple(map(len, (word[start + 1:] + word[:start]).split("B"))))
 
 
 def count_necklaces(n: int, k: int) -> int:
@@ -141,7 +145,7 @@ def enumerate_necklaces(n: int, k: int, full_period_only: bool = False) -> list[
         raise ValueError(f"enumerate_necklaces: need n >= 1 and k >= 0, got ({n}, {k})")
     out = _generate(n, k, full_period_only) if n > 1 and k > 0 else []
     if k % n == 0 and (n == 1 or not full_period_only):
-        out.append(Necklace(canonical=(k // n,) * n))
+        out.append(Necklace((k // n,) * n))
     return out
 
 
@@ -177,7 +181,7 @@ def _generate(n: int, k: int, full_period_only: bool) -> list[Necklace]:
             u = a[last - p]
             if left > u or (left == u and not full_period_only and n % p == 0):
                 a[last] = left
-                out.append(Necklace(canonical=tuple(a)))
+                out.append(Necklace(tuple(a)))
         # next prefix in lexicographic order: raise the deepest entry that can rise
         while True:
             a[t] += 1

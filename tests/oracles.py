@@ -38,6 +38,16 @@ def filter_necklaces(n: int, k: int, full_period_only: bool = False) -> list[tup
     )
 
 
+def comma_literal(entries: tuple[int, ...]) -> str:
+    """``0,0,3``: each entry through ``str``, joined by commas."""
+    return ",".join(map(str, entries))
+
+
+def bead_word(entries: tuple[int, ...]) -> str:
+    """``BBBWWW``: one black bead and its run of white beads per entry, concatenated."""
+    return "".join("B" + "W" * v for v in entries)
+
+
 def weighted_sum(entries: tuple[int, ...]) -> int:
     return sum(i * v for i, v in enumerate(entries)) % len(entries)
 

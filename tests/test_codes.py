@@ -5,12 +5,12 @@ import time
 from math import comb
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
-from neckslime import Code, divisors, enumerate_codes, is_prime
-from neckslime.codes import _prime_factors
+from neckslime import Code, Necklace, divisors, enumerate_codes, is_prime
+from neckslime.codes import _comma_literal, _prime_factors
 
-from oracles import grid_codes, stars_and_bars, tuple_period, weighted_sum
+from oracles import comma_literal, grid_codes, stars_and_bars, tuple_period, weighted_sum
 
 codes = st.lists(st.integers(0, 6), min_size=1, max_size=8).map(lambda e: Code(tuple(e)))
 
@@ -49,6 +49,16 @@ class TestConstruction:
     def test_parse_round_trip(self):
         assert Code.parse("3,0,0") == Code((3, 0, 0))
         assert str(Code((3, 0, 0))) == "3,0,0"
+
+    @given(st.lists(st.one_of(st.integers(0, 12), st.sampled_from([10, 99, 10**20])), min_size=1, max_size=9))
+    @example([0])
+    @example([7])
+    @example([10, 0, 99, 10**20])
+    def test_comma_literal_matches_oracle(self, entries):
+        e = tuple(entries)
+        expected = comma_literal(e)
+        assert _comma_literal(e) == str(Code(e)) == str(Necklace(e)) == expected
+        assert Code.parse(expected).entries == e
 
     def test_parse_garbage(self):
         with pytest.raises(ValueError):

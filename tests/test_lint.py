@@ -15,8 +15,9 @@ Nothing in the package memoizes: no ``functools.cache``, ``lru_cache`` or
 ``cached_property``.  A benchmark that repeats the same inputs every pass
 would time the cache instead of the kernel.
 
-A code or a necklace is written as its entries joined by commas in one
-place each, its ``__str__``; every output prints the object itself.
+A code's or a necklace's comma literal is built in one function and its
+bead word in another; ``__str__``, ``Necklace.word`` and ``code_to_word``
+call them, and every output prints the object itself.
 
 Which built-in sigma construction serves a cell is decided in one place,
 the rows of ``bijection.CONSTRUCTIONS``: ``sigma_table`` tests no primality
@@ -25,7 +26,7 @@ rows.
 
 The command line prints every single result in one function and every
 stream of certificates in another; only the commands with an output shape
-of their own (``count``, ``enum``, ``bijection``) print elsewhere.
+of their own (``count``, ``enum``, ``bijection``) print or write elsewhere.
 """
 
 from __future__ import annotations
@@ -133,22 +134,32 @@ def test_no_memo_caches():
     assert MODULES and found == []
 
 
-def _calls(node: ast.AST, match, scope: str = "") -> list[tuple[str, int]]:
-    """(enclosing definition, line) of each call under ``node`` for which ``match(call, scope)`` holds."""
+def _nodes(node: ast.AST, match, scope: str = "") -> list[tuple[str, int]]:
+    """(enclosing definition, line) of each node under ``node`` for which ``match(node, scope)`` holds."""
     found = []
     for child in ast.iter_child_nodes(node):
         if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-            found += _calls(child, match, f"{scope}.{child.name}".lstrip("."))
+            found += _nodes(child, match, f"{scope}.{child.name}".lstrip("."))
             continue
-        if isinstance(child, ast.Call) and match(child, scope):
+        if match(child, scope):
             found.append((scope, child.lineno))
-        found += _calls(child, match, scope)
+        found += _nodes(child, match, scope)
     return found
+
+
+def _calls(node: ast.AST, match, scope: str = "") -> list[tuple[str, int]]:
+    """(enclosing definition, line) of each call under ``node`` for which ``match(call, scope)`` holds."""
+    return _nodes(node, lambda child, scope: isinstance(child, ast.Call) and match(child, scope), scope)
+
+
+def _package_nodes(match) -> list[tuple[str, str, int]]:
+    """(module, enclosing definition, line) of each matching node in the package."""
+    return [(name, scope, line) for name, tree in MODULES.items() for scope, line in _nodes(tree, match)]
 
 
 def _package_calls(match) -> list[tuple[str, str, int]]:
     """(module, enclosing definition, line) of each matching call in the package."""
-    return [(name, scope, line) for name, tree in MODULES.items() for scope, line in _calls(tree, match)]
+    return _package_nodes(lambda node, scope: isinstance(node, ast.Call) and match(node, scope))
 
 
 def _is_code_call(call: ast.Call, scope: str) -> bool:
@@ -164,18 +175,28 @@ def test_code_validated_only_at_trust_boundaries():
     assert {scope for _, scope, _ in calls} >= boundaries and inside == []
 
 
-def _is_comma_join(call: ast.Call, scope: str) -> bool:
-    return (isinstance(call.func, ast.Attribute) and call.func.attr == "join"
-            and isinstance(call.func.value, ast.Constant) and call.func.value.value == ",")
+def _builds_comma_literal(node: ast.AST, scope: str) -> bool:
+    """A ``","``-join, or the ``"%d,"`` format that spells the same literal."""
+    return (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and node.func.attr == "join"
+            and isinstance(node.func.value, ast.Constant) and node.func.value.value == ","
+            or isinstance(node, ast.Constant) and node.value == "%d,")
+
+
+def _builds_bead_word(node: ast.AST, scope: str) -> bool:
+    """A run of white beads, ``"W" * v``."""
+    return (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mult)
+            and any(isinstance(side, ast.Constant) and side.value == "W" for side in (node.left, node.right)))
 
 
 def test_comma_literals_are_written_once():
-    """A code and a necklace print as ``0,0,3`` through their own ``__str__``; nothing re-types that join."""
-    owners = {"Code.__str__", "Necklace.__str__"}
-    calls = _package_calls(_is_comma_join)
-    elsewhere = [f"{name}:{line} {scope}" for name, scope, line in calls if scope not in owners]
-    assert elsewhere == []
-    assert {scope for _, scope, _ in calls} == owners
+    """A code and a necklace print as ``0,0,3`` and as ``BBBWWW`` through one kernel each, which their
+    ``__str__``, ``Necklace.word`` and ``code_to_word`` call; nothing else re-types either."""
+    for builds, kernel, callers in (
+        (_builds_comma_literal, "_comma_literal", {"Code.__str__", "Necklace.__str__"}),
+        (_builds_bead_word, "_bead_word", {"Necklace.word", "code_to_word"}),
+    ):
+        assert {scope for _, scope, _ in _package_nodes(builds)} == {kernel}
+        assert {scope for _, scope, _ in _package_calls(_calls_named(kernel))} == callers
 
 
 def _calls_named(*names: str):
@@ -193,7 +214,9 @@ def test_cell_rules_live_in_the_constructions_table():
 
 
 def _is_print(call: ast.Call, scope: str) -> bool:
-    return isinstance(call.func, ast.Name) and call.func.id == "print"
+    """``print(...)``, or a ``write``, ``writelines`` or ``writerows`` call on a stream or a CSV writer."""
+    return (isinstance(call.func, ast.Name) and call.func.id == "print"
+            or isinstance(call.func, ast.Attribute) and call.func.attr in {"write", "writelines", "writerows"})
 
 
 def test_cli_prints_through_its_printers():

@@ -5,7 +5,7 @@ import sys
 from math import gcd
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from neckslime import (
     Code,
@@ -18,8 +18,9 @@ from neckslime import (
     euler_phi,
     word_to_code,
 )
+from neckslime.necklaces import _bead_word
 
-from oracles import bead_classes, filter_necklaces, min_rotation, necklace_count, string_period, tuple_period
+from oracles import bead_classes, bead_word, filter_necklaces, min_rotation, necklace_count, string_period, tuple_period
 
 codes = st.lists(st.integers(0, 6), min_size=1, max_size=7).map(lambda e: Code(tuple(e)))
 
@@ -93,6 +94,16 @@ class TestWords:
         assert word_to_code("BBBWWW") == Code((0, 0, 3))
         assert word_to_code("BWBWBW") == Code((1, 1, 1))
         assert word_to_code("WWB") == Code((2,))
+
+    @given(st.lists(st.one_of(st.integers(0, 12), st.sampled_from([10, 99])), min_size=1, max_size=9))
+    @example([0])
+    @example([7])
+    @example([10, 0, 99])
+    def test_bead_word_matches_oracle(self, entries):
+        e = tuple(entries)
+        expected = bead_word(e)
+        assert _bead_word(e) == code_to_word(Code(e)) == Necklace(e).word == expected
+        assert word_to_code(expected).entries == e
 
     def test_bad_words(self):
         with pytest.raises(ValueError):
