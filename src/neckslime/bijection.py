@@ -35,7 +35,6 @@ import json
 from dataclasses import dataclass, field, replace
 from functools import partial
 from math import gcd
-from operator import itemgetter
 from pathlib import Path
 from typing import Callable, Iterable
 
@@ -221,24 +220,24 @@ def build_sigma(n: int, k: int, chi: RiwiMap, chooser: str = "lexmin") -> Biject
     g = gcd(n, k)
     q = n // g
     step = pow(k // g, -1, q)
-    pairs: list[tuple[tuple[int, ...], Necklace]] = []
+    pairs: list[tuple[Code, Necklace]] = []
     for neck in enumerate_necklaces(n, k, full_period_only=True):
         e = neck.canonical
         ws = weighted_sum(e)
         if ws % g:
             continue
         rep = pick([e[s:] + e[:s] for s in range(ws // g * step % q, n, q)])
-        pairs.append((rep, neck))
+        pairs.append((Code._trusted(rep), neck))
         image = rep
         for s in range(q, n, q):
             image = chi.apply(image)
-            pairs.append((rep[s:] + rep[:s], canonicalize(Code._trusted(image))))
+            pairs.append((Code._trusted(rep[s:] + rep[:s]), canonicalize(Code._trusted(image))))
     if n > 1 and k % n == 0:
         const = (k // n,) * n
         if weighted_sum(const) == 0:
-            pairs.append((const, Necklace(const)))
-    pairs.sort(key=itemgetter(0))
-    return BijectionTable(n, k, chi.descriptor, chooser, tuple([(Code._trusted(c), m) for c, m in pairs]))
+            pairs.append((Code._trusted(const), Necklace(const)))
+    pairs.sort(key=lambda p: p[0].entries)
+    return BijectionTable(n, k, chi.descriptor, chooser, tuple(pairs))
 
 
 def _no_image(e: tuple[int, ...]) -> tuple[int, ...]:

@@ -175,6 +175,11 @@ def test_code_validated_only_at_trust_boundaries():
     assert {scope for _, scope, _ in calls} >= boundaries and inside == []
 
 
+def _calls_named(*names: str):
+    """A call matcher for a bare name or an attribute in ``names``, such as ``gcd(...)`` or ``math.gcd(...)``."""
+    return lambda call, scope: getattr(call.func, "id", getattr(call.func, "attr", None)) in names
+
+
 def _builds_comma_literal(node: ast.AST, scope: str) -> bool:
     """A ``","``-join, or the ``"%d,"`` format that spells the same literal."""
     return (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and node.func.attr == "join"
@@ -197,11 +202,6 @@ def test_comma_literals_are_written_once():
     ):
         assert {scope for _, scope, _ in _package_nodes(builds)} == {kernel}
         assert {scope for _, scope, _ in _package_calls(_calls_named(kernel))} == callers
-
-
-def _calls_named(*names: str):
-    """A call matcher for a bare name or an attribute in ``names``, such as ``gcd(...)`` or ``math.gcd(...)``."""
-    return lambda call, scope: getattr(call.func, "id", getattr(call.func, "attr", None)) in names
 
 
 def test_cell_rules_live_in_the_constructions_table():
