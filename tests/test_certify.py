@@ -28,6 +28,16 @@ from neckslime.certify import (
 )
 
 
+def _digest(certs: list[Certificate]) -> str:
+    """sha256 over every field of every certificate but the wall time, in order, info keys included."""
+    lines = []
+    for cert in certs:
+        d = cert.to_json_dict()
+        del d["elapsed_s"]
+        lines.append(json.dumps(d))
+    return hashlib.sha256("\n".join(lines).encode()).hexdigest()
+
+
 class TestInvalidConstant:
     def test_3_3(self):
         cert = check_invalid_iff_constant(3, 3)
@@ -182,15 +192,8 @@ class TestMigrationLaws:
         assert calls == {"runs": cert.examined, "step": 2 * cert.info["valid"]}
 
     def test_envelope_certificates_pinned(self):
-        # every field but the wall time, hashed as in test_certificates_pinned
         certs = list(run_sweep(Envelope(max_codes=10_000), ["migration-laws"]))
-        lines = []
-        for cert in certs:
-            d = cert.to_json_dict()
-            del d["elapsed_s"]
-            lines.append(json.dumps(d))
-        digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
-        assert (len(certs), sum(c.examined for c in certs), digest) == (
+        assert (len(certs), sum(c.examined for c in certs), _digest(certs)) == (
             79, 36_685, "883ce61cb904ffea11eb7099cd84196434220b65a1c2adf1ee21332595d6f8c2")
 
 
@@ -221,6 +224,12 @@ class TestCountIdentity:
             "formula 5 != enumerated 4",
             "odd n: |zero residue class| 4 != necklace count 5",
         ]
+
+    def test_envelope_certificates_pinned(self):
+        # the default sweep's cells, 36 of them at even n
+        certs = list(run_sweep(Envelope(), ["count-identity"]))
+        assert (len(certs), sum(c.examined for c in certs), _digest(certs)) == (
+            81, 99_891, "bfa1d829e57c74e8d76134101752d4ced40038f8b7aa32badcac889e22b25935")
 
 
 class TestRiwiChecks:
@@ -325,15 +334,8 @@ class TestCertificateShape:
 
 
     def test_certificates_pinned(self):
-        # every field of every certificate but the wall time, in order, info keys included
         certs = list(run_sweep(Envelope(n_max=4, k_max=4, prime_extra=(5,))))
-        lines = []
-        for cert in certs:
-            d = cert.to_json_dict()
-            del d["elapsed_s"]
-            lines.append(json.dumps(d))
-        digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
-        assert (len(certs), digest) == (
+        assert (len(certs), _digest(certs)) == (
             106, "89be0ec4c952cb8a5c2ae1be38b936342234bac9013c64fa1eed29b335b419a0")
 
 
