@@ -17,7 +17,7 @@ prints the certificates of ``verify``, ``sweep`` and ``verify-riwi``: in
 JSON one line per certificate, flushed as soon as its check has finished;
 in text the summary table, then each counterexample of a failed
 certificate.  ``count`` and ``bijection`` print their own shapes;
-``bijection`` takes a ``--map`` file that passes ``verify_riwi``, else runs
+``bijection`` takes a ``--map`` file that passes ``check_riwi``, else runs
 ``sigma_table`` at (n, k).
 
 Exit codes: 0 success / verified; 1 verification failure, a violated
@@ -45,7 +45,7 @@ import re
 import sys
 from typing import Callable, Iterator
 
-from .bijection import CHOOSERS, build_sigma, load_riwi_map, sigma_table, verify_riwi
+from .bijection import CHOOSERS, build_sigma, load_riwi_map, sigma_table
 from .certify import CHECKS, Certificate, Envelope, check_riwi, run_cell, run_sweep, summarize
 from .codes import Code, enumerate_codes, is_prime
 from .necklaces import canonicalize, code_to_word, count_necklaces, enumerate_necklaces, word_to_code
@@ -147,9 +147,9 @@ def _cmd_bijection(args: argparse.Namespace) -> int:
         table = sigma_table(n, k, args.chooser)
     else:
         chi = load_riwi_map(args.map)
-        tally = verify_riwi(chi, n, k)
-        if not tally.passed:
-            raise ValueError(f"map file {args.map}: not a riwi map at ({n}, {k}): {tally.failures[0]}")
+        cert = check_riwi("riwi-map", chi, n, k)
+        if not cert.passed:
+            raise ValueError(f"map file {args.map}: not a riwi map at ({n}, {k}): {cert.counterexamples[0]}")
         table = build_sigma(n, k, chi, args.chooser)
     if args.format == "json":
         print(json.dumps(table.to_json_dict()))

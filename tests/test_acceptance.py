@@ -77,9 +77,8 @@ def test_criterion_04_count_identity_square():
         for k in range(9):
             formula = count_necklaces(n, k)
             assert formula == len(enumerate_necklaces(n, k)), (n, k)
-            if n % 2 == 1:
-                zero_class = sum(1 for _ in enumerate_codes(n, k, t=0))
-                assert zero_class == formula, (n, k)
+            zero_class = sum(1 for _ in enumerate_codes(n, k, t=0))
+            assert zero_class == formula, (n, k)
     elapsed = time.perf_counter() - t0
     assert elapsed < 10, f"count identity sweep took {elapsed:.1f} s, budget 10 s"
 

@@ -210,7 +210,7 @@ class TestCountIdentity:
         assert "zero_class_matches" in cert.info
 
     def test_even_cell_comparison_is_consistent(self):
-        # even lengths only record the comparison; the verdict stays pass
+        # even lengths are judged like odd ones; the recorded comparison agrees with the verdict
         cert = check_count_identity(4, 4)
         assert cert.passed
         assert cert.info["zero_class_matches"] == (cert.info["zero_class"] == cert.info["formula"])
@@ -222,7 +222,17 @@ class TestCountIdentity:
         assert cert.failure_count == 2
         assert list(cert.counterexamples) == [
             "formula 5 != enumerated 4",
-            "odd n: |zero residue class| 4 != necklace count 5",
+            "|zero residue class| 4 != necklace count 5",
+        ]
+
+    def test_even_cell_failures_are_judged(self, monkeypatch):
+        real = certify.count_necklaces
+        monkeypatch.setattr(certify, "count_necklaces", lambda n, k: real(n, k) + 1)
+        cert = check_count_identity(4, 2)
+        assert cert.failure_count == 2
+        assert list(cert.counterexamples) == [
+            "formula 4 != enumerated 3",
+            "|zero residue class| 3 != necklace count 4",
         ]
 
     def test_envelope_certificates_pinned(self):

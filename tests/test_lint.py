@@ -24,6 +24,11 @@ the rows of ``bijection.CONSTRUCTIONS``: ``sigma_table`` tests no primality
 or gcd of its own, and ``certify`` takes its riwi checks' cells from those
 rows.
 
+A riwi map is judged by one rule: ``check_riwi`` is the only caller of
+``verify_riwi`` in the package, and the command line certifies every map
+file, for ``bijection --map`` and ``verify-riwi`` alike, through
+``check_riwi``.
+
 The command line prints every single result in one function and every
 stream of certificates in another; only the commands with an output shape
 of their own (``count``, ``enum``, ``bijection``) print or write elsewhere.
@@ -211,6 +216,17 @@ def test_cell_rules_live_in_the_constructions_table():
                   _calls(MODULES["certify.py"], _calls_named("gcd"))]
     assert in_sigma_table == [] and in_certify == []
     assert any(isinstance(node, ast.FunctionDef) and node.name == "sigma_table" for node in MODULES["bijection.py"].body)
+
+
+def test_riwi_maps_are_judged_through_check_riwi():
+    """``verify_riwi`` is called only by ``check_riwi``, and ``cli.py`` names ``check_riwi`` and never
+    ``verify_riwi``, so a second verification path for map files cannot return."""
+    assert {f"{name} {scope}" for name, scope, _ in _package_calls(_calls_named("verify_riwi"))} == {
+        "certify.py check_riwi"}
+    tree = MODULES["cli.py"]
+    imported = {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) for alias in node.names}
+    names = _references(tree) | imported
+    assert "check_riwi" in names and "verify_riwi" not in names
 
 
 def _is_print(call: ast.Call, scope: str) -> bool:
