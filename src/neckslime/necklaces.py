@@ -21,8 +21,8 @@ class.  A roots-of-unity filter counts the codes of residue r as
 
 with c_d Ramanujan's sum.  At r = 0, c_d(0) = phi(d), and
 C((n+k)/d - 1, k/d) / n = C((n+k)/d, n/d) / (n+k), so the two sums agree
-term by term.  The ``count-identity`` certificate judges the match at odd n
-and, until its pinned output is redone, only records it at even n.
+term by term, and the ``count-identity`` certificate judges the match at
+every n.
 
 :func:`enumerate_necklaces` generates the necklaces themselves with the
 Fredricksen-Kessler-Maiorana prenecklace walk restricted to fixed content

@@ -210,7 +210,7 @@ class TestCountIdentity:
         assert "zero_class_matches" in cert.info
 
     def test_even_cell_comparison_is_consistent(self):
-        # even lengths are judged like odd ones; the recorded comparison agrees with the verdict
+        # even lengths are judged like odd ones; the recorded key repeats the judged comparison
         cert = check_count_identity(4, 4)
         assert cert.passed
         assert cert.info["zero_class_matches"] == (cert.info["zero_class"] == cert.info["formula"])
