@@ -348,6 +348,13 @@ class TestCertificateShape:
         assert (len(certs), _digest(certs)) == (
             106, "89be0ec4c952cb8a5c2ae1be38b936342234bac9013c64fa1eed29b335b419a0")
 
+    def test_envelope_certificates_pinned(self):
+        # the checks with no pin of their own, over the cells of the migration-laws pin
+        checks = ["invalid-constant", "riwi-slime", "riwi-rotation", "prime-bijection"]
+        certs = list(run_sweep(Envelope(max_codes=10_000), checks))
+        assert (len(certs), sum(c.examined for c in certs), _digest(certs)) == (
+            170, 66_925, "eeb16c06c0f65be546343390a4fdd1896101c15e082afd15ce154be9098a3707")
+
 
 class TestEnvelope:
     def test_default_cells(self):

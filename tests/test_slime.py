@@ -248,6 +248,12 @@ def _against_oracle(entries: tuple[int, ...]) -> None:
         assert unit_migration_inverse(f).entries == slime_phi(entries, forward=False)
 
 
+def staircase(h: int) -> tuple[int, ...]:
+    """(h, 0, h - 1, 1, ..., 1, h - 1, 0): n = 2h + 1 entries and h hot runs, one cold pair
+    between each two, the last run wrapping past position n - 1."""
+    return tuple(v for i in range(h) for v in (h - i, i)) + (0,)
+
+
 class TestKernelAgainstOracle:
     def test_every_small_code(self):
         from neckslime import enumerate_codes
@@ -256,6 +262,24 @@ class TestKernelAgainstOracle:
             for k in range(7):
                 for f in enumerate_codes(n, k):
                     _against_oracle(f.entries)
+
+    @pytest.mark.parametrize("entries", [
+        (1, 0, 0, 2),  # one hot pair, pair n - 1, wrapping to position 0
+        (1, 2, 0, 0, 0, 2, 1, 2),  # one run over pairs 5, 6, 7 and 0
+        (1, 1, 2, 1, 2),  # the only cold pair is pair 0
+        (1, 2, 1, 2, 1),  # the only cold pair is pair n - 1
+        (1,) + (1, 2) * 50,
+        (1, 2) * 50 + (1,),
+        *(staircase(h) for h in (1, 2, 3, 10, 50, 128)),
+    ])
+    def test_runs_at_the_edges(self, entries):
+        _against_oracle(entries)
+
+    @pytest.mark.parametrize("n", [101, 257])
+    def test_runs_of_ones(self, n):
+        rng = random.Random(n + 1)
+        for w in (1, 2, 5, 17, (n - 1) // 2):
+            _against_oracle(runs_of_ones(rng, n, w))
 
     @given(st.lists(st.integers(0, 5), min_size=1, max_size=31))
     def test_long_codes(self, entries):
