@@ -38,7 +38,7 @@ from math import gcd
 from pathlib import Path
 from typing import Callable, Iterable
 
-from .codes import Code, enumerate_codes, is_prime, weighted_sum
+from .codes import Code, _walk, is_prime, weighted_sum
 from .necklaces import Necklace, canonicalize, enumerate_necklaces
 from .slime import unit_step
 
@@ -316,13 +316,14 @@ def verify_riwi(chi: RiwiMap, n: int, k: int) -> Tally:
 
     Confirms the apply/invert round trip, image coverage of the full-period
     set, the +1 weighted-sum shift, and commutation with rotation.  Runs on
-    entry tuples, with one weighted sum per code; codes are rendered only
-    in counterexamples.  Failures become tally content, never exceptions,
+    entry tuples, reading each code's weighted sum from the enumeration walk;
+    only an image outside the full-period set is summed.  Codes are rendered
+    only in counterexamples.  Failures become tally content, never exceptions,
     and so do any exception raised by the map and a returned value that is
     not an entry tuple of length n.  The tally's ``checked`` is the number
     of full-period codes.
     """
-    ws = {f.entries: weighted_sum(f.entries) for f in enumerate_codes(n, k, full_period_only=True)}
+    ws = dict(_walk(n, k, full_period_only=True))
     tally = Tally(checked=len(ws))
     show = Code._trusted
     image: dict[tuple[int, ...], tuple[int, ...]] = {}

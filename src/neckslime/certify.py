@@ -6,9 +6,12 @@ counterexamples when something breaks (detail strings are capped); its
 verdict is ``pass`` exactly when the failure count is 0.  Every check
 collects its failures in one :class:`~neckslime.bijection.Tally`, the record
 :func:`verify_riwi` returns, and :func:`_certificate` turns it into the
-certificate.  A failing certificate is data, not an exception; exceptions
-are reserved for inapplicable inputs, e.g. asking for the
-odd-length invalidity check at even n.
+certificate.  The checks that walk a cell take its entry tuples and their
+weighted sums from one walk, ``codes._walk``, and build a :class:`Code`
+only for a counterexample; ``check_prime_bijection`` alone enumerates
+codes, because it compares lists of them.  A failing certificate is data,
+not an exception; exceptions are reserved for inapplicable inputs, e.g.
+asking for the odd-length invalidity check at even n.
 
 The default :class:`Envelope` sweeps all n, k <= 8 plus prime lengths up to
 11, keeping every cell under a configurable enumeration budget.  Checks on
@@ -25,7 +28,7 @@ from typing import Callable, Iterator
 
 from .bijection import (CHOOSERS, CONSTRUCTIONS, RiwiMap, Tally, prime_bijection, riwi_rotation, riwi_slime,
                         verify_riwi)
-from .codes import Code, enumerate_codes, is_prime, weighted_sum
+from .codes import Code, _walk, enumerate_codes, is_prime
 from .necklaces import count_necklaces, enumerate_necklaces
 from .slime import _weight, runs, step
 
@@ -84,14 +87,13 @@ def check_invalid_iff_constant(n: int, k: int) -> Certificate:
     t0 = time.perf_counter()
     tally = Tally()
     invalid = 0
-    for f in enumerate_codes(n, k):
+    for e, _ in _walk(n, k):
         tally.checked += 1
-        e = f.entries
         is_invalid = runs(e)[1] is None
         invalid += is_invalid
         constant = e.count(e[0]) == n
         if is_invalid != constant:
-            tally.fail(f"{f}: invalid={is_invalid} but constant={constant}")
+            tally.fail(f"{Code._trusted(e)}: invalid={is_invalid} but constant={constant}")
     return _certificate("invalid-constant", n, k, tally, t0, {"invalid": invalid})
 
 
@@ -106,9 +108,12 @@ def check_migration_laws(n: int, k: int) -> Certificate:
     """
     t0 = time.perf_counter()
     tally = Tally()
-    codes = [f.entries for f in enumerate_codes(n, k)]
+    codes: list[tuple[int, ...]] = []
+    ws: list[int] = []  # the weighted sum of each code, as the walk carries it
+    for e, w in _walk(n, k):
+        codes.append(e)
+        ws.append(w)
     index = {e: i for i, e in enumerate(codes)}
-    ws = [weighted_sum(e) for e in codes]
     # per code: (m, slime count, weight, forward image, backward image), images as indices
     # into codes (None for one outside the cell); None for an invalid code
     records = []
@@ -117,40 +122,43 @@ def check_migration_laws(n: int, k: int) -> Certificate:
         records.append(None if rs is None else (
             m, len(rs), _weight(e, rs), index.get(step(e, rs, True)), index.get(step(e, rs, False))))
     tally.checked = len(codes)
+
+    def fail(i: int, law: str) -> None:
+        tally.fail(f"{Code._trusted(codes[i])}: {law}")
+
     for i, record in enumerate(records):
         if record is None:
             continue
-        f = Code._trusted(codes[i])
         m, slimes, w, g, b = record
         if not 1 <= w <= n // 2:
-            tally.fail(f"{f}: weight {w} outside [1, {n // 2}]")
+            fail(i, f"weight {w} outside [1, {n // 2}]")
         # an image that is invalid or outside the cell has no record to step back with; it fails below
         if g is not None and records[g] is not None and records[g][4] != i:
-            tally.fail(f"{f}: backward(forward) is not the identity")
+            fail(i, "backward(forward) is not the identity")
         if b is not None and records[b] is not None and records[b][3] != i:
-            tally.fail(f"{f}: forward(backward) is not the identity")
+            fail(i, "forward(backward) is not the identity")
         images = (("forward", g, w), ("backward", b, -w))
         for label, j, _ in images:
             if j is None:
-                tally.fail(f"{f}: {label} image is not a code of ({n}, {k})")
+                fail(i, f"{label} image is not a code of ({n}, {k})")
             elif records[j] is None:
-                tally.fail(f"{f}: {label} image {Code._trusted(codes[j])} is invalid")
+                fail(i, f"{label} image {Code._trusted(codes[j])} is invalid")
             else:
                 im, islimes, iw = records[j][:3]
                 if im != m:
-                    tally.fail(f"{f}: {label} image changed m {m} -> {im}")
+                    fail(i, f"{label} image changed m {m} -> {im}")
                 if islimes != slimes:
-                    tally.fail(f"{f}: {label} image changed slime count")
+                    fail(i, f"{label} image changed slime count")
                 if iw != w:
-                    tally.fail(f"{f}: {label} image changed weight {w} -> {iw}")
+                    fail(i, f"{label} image changed weight {w} -> {iw}")
         for label, j, shift in images:
             if j is not None and ws[j] != (ws[i] + shift) % n:
-                tally.fail(f"{f}: {label} ws shift is not {shift:+d}")
+                fail(i, f"{label} ws shift is not {shift:+d}")
         if g is not None:
             e, image = codes[i], codes[g]
             rotated = records[index[e[1:] + e[:1]]]
             if rotated is None or rotated[3] != index[image[1:] + image[:1]]:
-                tally.fail(f"{f}: forward migration does not commute with rotation")
+                fail(i, "forward migration does not commute with rotation")
     valid = len(codes) - records.count(None)
     return _certificate("migration-laws", n, k, tally, t0, {"valid": valid, "invalid": len(codes) - valid})
 
@@ -165,8 +173,8 @@ def check_count_identity(n: int, k: int) -> Certificate:
     formula = count_necklaces(n, k)
     enumerated = len(enumerate_necklaces(n, k))
     zero_class = 0
-    for _ in enumerate_codes(n, k, t=0):
-        zero_class += 1
+    for _, ws in _walk(n, k):
+        zero_class += not ws
     tally = Tally(checked=comb(n + k - 1, n - 1))
     if formula != enumerated:
         tally.fail(f"formula {formula} != enumerated {enumerated}")

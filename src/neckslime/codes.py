@@ -20,6 +20,15 @@ coprime cells test none.
 Codes hash and compare by their entry tuples, so they can be collected in
 sets and sorted lexicographically, and every enumeration here is emitted in
 lexicographic order to keep downstream tables reproducible.
+
+The enumeration walks the compositions by their last nonzero part and
+carries the weighted sum along instead of summing each code.  It starts at
+(0, ..., 0, k), whose sum is S = (n - 1) * k.  A step that empties part
+j >= 1 holding v moves one unit to part j - 1 and v - 1 units to part
+n - 1, so S changes by (n - 1)(v - 1) - j * v + (j - 1); at j = n - 1 the
+v - 1 units stay put and the change is -1.  The walk yields S mod n with
+each entry tuple, so the certificates, which run on entry tuples, read
+each code's residue class for free.
 """
 
 from __future__ import annotations
@@ -197,35 +206,51 @@ def enumerate_codes(
 ) -> Iterator[Code]:
     """Yield the codes of length ``n`` and content ``k`` in lexicographic order.
 
+    With ``t`` given, only codes whose weighted sum is ``t`` mod ``n`` are
+    emitted; with ``full_period_only`` set, only codes of period ``n``.  The
+    stream is duplicate-free and sorted, so consumers can freeze its order
+    into reproducible artifacts.  A cell with n < 1 or k < 0 raises
+    ``ValueError`` on the call, before anything is iterated.
+    """
+    walk = _walk(n, k, full_period_only)
+    t = None if t is None else t % n
+    return (Code._trusted(e) for e, ws in walk if t is None or ws == t)
+
+
+def _walk(n: int, k: int, full_period_only: bool = False) -> Iterator[tuple[tuple[int, ...], int]]:
+    """``(entries, weighted sum)`` of each code of length ``n`` and content ``k``, in lexicographic order.
+
     The walk starts at (0, ..., 0, k).  Each step takes the last nonzero
     part j >= 1, moves one unit of it to part j - 1 and the rest to the last
     part; the walk ends when only part 0 is nonzero.  The next step's j is
     the last part if that rest is nonzero, else j - 1, so nothing is scanned.
+    The weighted sum is carried by the step formula in the module docstring.
+    With ``full_period_only`` set, only codes of period ``n`` are yielded.
 
-    With ``t`` given, only codes whose weighted sum is ``t`` mod ``n`` are
-    emitted; with ``full_period_only`` set, only codes of period ``n``.  The
-    stream is duplicate-free and sorted, so consumers can freeze its order
-    into reproducible artifacts.
+    The cell is checked on the call: n < 1 or k < 0 raises ``ValueError``.
     """
     if n < 1:
         raise ValueError(f"enumerate_codes: need n >= 1, got {n}")
     if k < 0:
         raise ValueError(f"enumerate_codes: need k >= 0, got {k}")
-    if t is not None:
-        t %= n
     shifts = [n // p for p in _prime_factors(gcd(n, k))] if full_period_only else []
-    c = [0] * n
-    c[-1] = k
-    j = n - 1 if k else 0
-    while True:
-        entries = tuple(c)
-        if (t is None or weighted_sum(entries) == t) and not (
-                shifts and any(entries == entries[d:] + entries[:d] for d in shifts)):
-            yield Code._trusted(entries)
-        if not j:
-            return
-        v = c[j]
-        c[j] = 0
-        c[j - 1] += 1
-        c[-1] = v - 1
-        j = n - 1 if v > 1 else j - 1
+
+    def walk() -> Iterator[tuple[tuple[int, ...], int]]:
+        c = [0] * n
+        c[-1] = k
+        j = n - 1 if k else 0
+        s = (n - 1) * k
+        while True:
+            entries = tuple(c)
+            if not (shifts and any(entries == entries[d:] + entries[:d] for d in shifts)):
+                yield entries, s % n
+            if not j:
+                return
+            v = c[j]
+            c[j] = 0
+            c[j - 1] += 1
+            c[-1] = v - 1
+            s += (n - 1) * (v - 1) - j * v + j - 1
+            j = n - 1 if v > 1 else j - 1
+
+    return walk()

@@ -49,6 +49,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import gcd
+from operator import add
 from typing import NamedTuple
 
 from .codes import Code
@@ -100,15 +101,36 @@ class SlimeDecomposition:
 
 def runs(entries: tuple[int, ...]) -> tuple[int, tuple[tuple[int, int], ...] | None]:
     """``(m, runs)``: the hot runs as ``(start, length)`` pairs sorted by start,
-    or None in place of the runs when the code is invalid."""
+    or None in place of the runs when the code is invalid.
+
+    The scan jumps from run to run with ``list.index`` over the pair sums
+    written out twice, so positions between runs are never visited one by
+    one.  It starts at the first hot pair after a cold one (after the first
+    least pair sum), so every run it meets begins there and none is cut in
+    two by position 0; a run then extends while its pair sums are m.  It
+    stops once it has covered ``count(m)`` hot pairs, which is before it
+    comes back round to that cold pair, so it never reads past the second
+    copy.  Starts are taken mod n and the runs sorted by them.
+    """
     n = len(entries)
-    sums = [a + b for a, b in zip(entries, entries[1:] + entries[:1])]
+    sums = list(map(add, entries, entries[1:] + entries[:1]))
     m = max(sums)
-    hot = [s == m for s in sums]
-    if all(hot):
+    hot = sums.count(m)
+    if hot == n:
         return m, None
-    hot += hot  # a run may wrap past position n - 1 but ends at a cold pair before 2n
-    return m, tuple([(j, hot.index(False, j) - j + 1) for j in range(n) if hot[j] and not hot[j - 1]])
+    twice = sums + sums
+    s = twice.index(m, sums.index(min(sums)))
+    found = []
+    while True:
+        e = s + 1
+        while twice[e] == m:
+            e += 1
+        found.append((s % n, e - s + 1))  # e - s hot pairs cover e - s + 1 positions
+        hot -= e - s
+        if not hot:
+            found.sort()
+            return m, tuple(found)
+        s = twice.index(m, e)
 
 
 def step(entries: tuple[int, ...], runs: tuple[tuple[int, int], ...], forward: bool) -> tuple[int, ...]:

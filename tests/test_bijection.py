@@ -105,6 +105,32 @@ class TestVerifyRiwi:
         report = verify_riwi(riwi_slime(5, 3), 5, 0)
         assert report.passed and report.checked == 0
 
+    @staticmethod
+    def counted_sums(monkeypatch) -> list:
+        """The entry tuples ``bijection.weighted_sum`` is called on, from now on."""
+        calls = []
+
+        def counted(entries, _real=bijection.weighted_sum):
+            calls.append(entries)
+            return _real(entries)
+
+        monkeypatch.setattr(bijection, "weighted_sum", counted)
+        return calls
+
+    def test_walk_carries_every_weighted_sum(self, monkeypatch):
+        calls = self.counted_sums(monkeypatch)
+        report = verify_riwi(riwi_slime(11, 6), 11, 6)
+        assert (report.passed, report.checked, calls) == (True, 8_008, [])
+
+    def test_one_weighted_sum_per_foreign_image(self, monkeypatch):
+        images = _slime_3_3()
+        images[(0, 1, 2)] = (1, 1, 1)  # a code of the cell, but not of full period
+        images[(2, 1, 0)] = (4, 0, 0)  # a code of another cell
+        chi = riwi_from_pairs(images.items(), "foreign")
+        calls = self.counted_sums(monkeypatch)
+        assert not verify_riwi(chi, 3, 3).passed
+        assert calls == [(1, 1, 1), (4, 0, 0)]
+
     def test_report_json_shape(self):
         d = check_riwi("riwi-slime", riwi_slime(3, 3), 3, 3).to_json_dict()
         assert list(d) == ["check", "n", "k", "verdict", "counterexamples",

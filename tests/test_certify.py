@@ -18,7 +18,7 @@ from neckslime import (
     run_sweep,
     summarize,
 )
-from neckslime import certify
+from neckslime import bijection, certify, codes
 from neckslime.bijection import CONSTRUCTIONS
 from neckslime.certify import (
     check_count_identity,
@@ -347,6 +347,20 @@ class TestCertificateShape:
         certs = list(run_sweep(Envelope(n_max=4, k_max=4, prime_extra=(5,))))
         assert (len(certs), _digest(certs)) == (
             106, "89be0ec4c952cb8a5c2ae1be38b936342234bac9013c64fa1eed29b335b419a0")
+
+    def test_walked_checks_sum_no_code(self, monkeypatch):
+        # the walk carries each code's weighted sum, so no check that walks a cell sums one
+        # (riwi-rotation is left out: building the rotation map sums its self-check's sample)
+        calls = []
+        for module in (codes, bijection):
+            def counted(entries, _real=module.weighted_sum):
+                calls.append(entries)
+                return _real(entries)
+            monkeypatch.setattr(module, "weighted_sum", counted)
+        checks = ["invalid-constant", "migration-laws", "count-identity", "riwi-slime"]
+        certs = list(run_sweep(Envelope(n_max=5, k_max=5, prime_extra=(7,)), checks))
+        assert len(certs) == 114 and all(c.passed for c in certs)
+        assert calls == []
 
     def test_envelope_certificates_pinned(self):
         # the checks with no pin of their own, over the cells of the migration-laws pin

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from neckslime import Code, Necklace, divisors, enumerate_codes, is_prime
-from neckslime.codes import _comma_literal, _prime_factors
+from neckslime.codes import _comma_literal, _prime_factors, _walk
 
 from oracles import comma_literal, grid_codes, stars_and_bars, tuple_period, weighted_sum
 
@@ -200,10 +200,19 @@ class TestEnumerate:
         assert [f.entries for f in enumerate_codes(4, 0)] == [(0, 0, 0, 0)]
 
     def test_bad_args(self):
-        with pytest.raises(ValueError):
-            list(enumerate_codes(0, 3))
-        with pytest.raises(ValueError):
-            list(enumerate_codes(3, -1))
+        # refused on the call, before anything is iterated
+        for n, k in ((0, 3), (3, -1)):
+            with pytest.raises(ValueError):
+                enumerate_codes(n, k)
+            with pytest.raises(ValueError):
+                _walk(n, k)
+
+    def test_walk_carries_the_weighted_sum(self):
+        # the step formula against a fresh sum at every code; every walk ends on steps at j = n - 1
+        for n in range(1, 13):
+            for k in range(7):
+                want = [(c, weighted_sum(c)) for c in sorted(stars_and_bars(n, k))]
+                assert list(_walk(n, k)) == want, (n, k)
 
 
 def test_divisors():

@@ -29,6 +29,12 @@ A riwi map is judged by one rule: ``check_riwi`` is the only caller of
 file, for ``bijection --map`` and ``verify-riwi`` alike, through
 ``check_riwi``.
 
+The certificates walk entry tuples: ``certify.py`` does not import
+``weighted_sum``, names ``enumerate_codes`` only in ``check_prime_bijection``
+(which compares lists of codes) and builds a ``Code`` only inside a message,
+and ``verify_riwi`` walks its cell through ``codes._walk``, which carries
+each code's weighted sum.
+
 The command line prints every single result in one function and every
 stream of certificates in another; only the commands with an output shape
 of their own (``count``, ``enum``, ``bijection``) print or write elsewhere.
@@ -227,6 +233,24 @@ def test_riwi_maps_are_judged_through_check_riwi():
     imported = {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) for alias in node.names}
     names = _references(tree) | imported
     assert "check_riwi" in names and "verify_riwi" not in names
+
+
+def test_certificates_walk_entry_tuples():
+    """``certify.py`` sums no code and wraps one in a ``Code`` only for a message; ``verify_riwi`` walks
+    its cell through ``_walk``, so neither can fall back to a ``Code`` and a fresh sum per code."""
+    tree = MODULES["certify.py"]
+    imported = {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) for alias in node.names}
+    assert "_walk" in imported and "weighted_sum" not in imported | _references(tree)
+    naming = _nodes(tree, lambda node, scope: isinstance(node, ast.Name) and node.id == "enumerate_codes")
+    assert {scope for scope, _ in naming} == {"check_prime_bijection"}
+    trusted = _calls(tree, _calls_named("_trusted"))
+    in_messages = [(scope, line) for node in ast.walk(tree) if isinstance(node, ast.JoinedStr)
+                   for scope, line in _calls(node, _calls_named("_trusted"))]
+    assert trusted and len(trusted) == len(in_messages)
+    [verify] = [node for node in MODULES["bijection.py"].body
+                if isinstance(node, ast.FunctionDef) and node.name == "verify_riwi"]
+    called = {getattr(node.func, "id", None) for node in ast.walk(verify) if isinstance(node, ast.Call)}
+    assert "_walk" in called and "enumerate_codes" not in called
 
 
 def _is_print(call: ast.Call, scope: str) -> bool:
