@@ -172,9 +172,7 @@ def check_count_identity(n: int, k: int) -> Certificate:
     t0 = time.perf_counter()
     formula = count_necklaces(n, k)
     enumerated = len(enumerate_necklaces(n, k))
-    zero_class = 0
-    for _, ws in _walk(n, k):
-        zero_class += not ws
+    zero_class = sum(1 for _, ws in _walk(n, k) if not ws)
     tally = Tally(checked=comb(n + k - 1, n - 1))
     if formula != enumerated:
         tally.fail(f"formula {formula} != enumerated {enumerated}")

@@ -212,7 +212,7 @@ def enumerate_codes(
     into reproducible artifacts.  A cell with n < 1 or k < 0 raises
     ``ValueError`` on the call, before anything is iterated.
     """
-    walk = _walk(n, k, full_period_only)
+    walk = _walk(n, k, full_period_only)  # refuses a bad cell before t % n divides by n
     t = None if t is None else t % n
     return (Code._trusted(e) for e, ws in walk if t is None or ws == t)
 

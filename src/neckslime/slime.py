@@ -103,14 +103,15 @@ def runs(entries: tuple[int, ...]) -> tuple[int, tuple[tuple[int, int], ...] | N
     """``(m, runs)``: the hot runs as ``(start, length)`` pairs sorted by start,
     or None in place of the runs when the code is invalid.
 
-    The scan jumps from run to run with ``list.index`` over the pair sums
-    written out twice, so positions between runs are never visited one by
-    one.  It starts at the first hot pair after a cold one (after the first
-    least pair sum), so every run it meets begins there and none is cut in
-    two by position 0; a run then extends while its pair sums are m.  It
-    stops once it has covered ``count(m)`` hot pairs, which is before it
-    comes back round to that cold pair, so it never reads past the second
-    copy.  Starts are taken mod n and the runs sorted by them.
+    The scan jumps from run to run with ``list.index``, so the pairs between
+    runs are never visited one by one, and extends each run while its pair
+    sums are m.  It stops once it has covered all ``count(m)`` hot pairs.
+    When pair n - 1 is cold no run wraps past position n - 1: the scan
+    starts at the first hot pair and meets the runs in order of start.
+    Otherwise it runs over the pair sums written out twice and starts at the
+    first hot pair after the first least, cold, one, so no run is cut in two
+    at position 0; it stops before it comes back round to that cold pair,
+    inside the second copy, and its starts are taken mod n and sorted.
     """
     n = len(entries)
     sums = list(map(add, entries, entries[1:] + entries[:1]))
@@ -118,19 +119,24 @@ def runs(entries: tuple[int, ...]) -> tuple[int, tuple[tuple[int, int], ...] | N
     hot = sums.count(m)
     if hot == n:
         return m, None
-    twice = sums + sums
-    s = twice.index(m, sums.index(min(sums)))
+    wraps = sums[-1] == m
+    if wraps:
+        sums += sums
+        s = sums.index(m, sums.index(min(sums)))
+    else:
+        s = sums.index(m)
     found = []
     while True:
         e = s + 1
-        while twice[e] == m:
+        while sums[e] == m:
             e += 1
         found.append((s % n, e - s + 1))  # e - s hot pairs cover e - s + 1 positions
         hot -= e - s
         if not hot:
-            found.sort()
+            if wraps:
+                found.sort()
             return m, tuple(found)
-        s = twice.index(m, e)
+        s = sums.index(m, e)
 
 
 def step(entries: tuple[int, ...], runs: tuple[tuple[int, int], ...], forward: bool) -> tuple[int, ...]:
