@@ -208,7 +208,7 @@ class TestEnumerate:
                 _walk(n, k)
 
     def test_walk_carries_the_weighted_sum(self):
-        # the step formula against a fresh sum at every code; every walk ends on steps at j = n - 1
+        # the step formula, its j = n - 1 case included, against a fresh sum at every code
         for n in range(1, 13):
             for k in range(7):
                 want = [(c, weighted_sum(c)) for c in sorted(stars_and_bars(n, k))]

@@ -244,8 +244,8 @@ def test_certificates_walk_entry_tuples():
     naming = _nodes(tree, lambda node, scope: isinstance(node, ast.Name) and node.id == "enumerate_codes")
     assert {scope for scope, _ in naming} == {"check_prime_bijection"}
     trusted = _calls(tree, _calls_named("_trusted"))
-    in_messages = [(scope, line) for node in ast.walk(tree) if isinstance(node, ast.JoinedStr)
-                   for scope, line in _calls(node, _calls_named("_trusted"))]
+    in_messages = [call for node in ast.walk(tree) if isinstance(node, ast.JoinedStr)
+                   for call in _calls(node, _calls_named("_trusted"))]
     assert trusted and len(trusted) == len(in_messages)
     [verify] = [node for node in MODULES["bijection.py"].body
                 if isinstance(node, ast.FunctionDef) and node.name == "verify_riwi"]
