@@ -314,6 +314,32 @@ class TestPrimeBijectionCheck:
         ]
         assert cert.info == {"pairs": 3, "choosers_agree": False}
 
+    def test_counterexample_lists_are_capped_and_sorted(self, monkeypatch):
+        # five codes and necklaces missing, four necklaces repeated: each list keeps its first three,
+        # codes and unreached necklaces in entry order, repeated necklaces in the order of their text
+        real = certify.prime_bijection
+
+        def broken(n, k, chooser="lexmin"):
+            table = real(n, k, chooser)
+            pairs = list(table.pairs)
+            if chooser == "lexmin":  # drop the first five pairs
+                return replace(table, pairs=tuple(pairs[5:]))
+            for i in (1, 3, 5, 7):  # rows 1, 3, 5 and 7 take the necklace of the row before
+                pairs[i] = (pairs[i][0], pairs[i - 1][1])
+            return replace(table, pairs=tuple(pairs))
+
+        monkeypatch.setattr(certify, "prime_bijection", broken)
+        cert = check_prime_bijection(3, 12)
+        assert (cert.verdict, cert.failure_count, cert.examined) == ("fail", 5, 31)
+        assert list(cert.counterexamples) == [
+            "lexmin: domain mismatch: unexpected [], missing ['0,0,12', '0,3,9', '0,6,6']",
+            "lexmin: not surjective: unreached necklaces ['<0,0,12>', '<0,3,9>', '<0,6,6>']",
+            "lexmin: table has 26 pairs, necklace count is 31",
+            "lexmax: not injective: repeated necklaces ['<0,10,2>', '<0,11,1>', '<0,4,8>']",
+            "lexmax: not surjective: unreached necklaces ['<0,2,10>', '<0,7,5>', '<1,5,6>']",
+        ]
+        assert cert.info == {"pairs": 26, "choosers_agree": False}
+
 
 class TestCertificateShape:
     def test_json_line(self):
