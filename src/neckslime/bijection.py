@@ -24,9 +24,11 @@ Representatives default to the lexicographically smallest orbit member so
 emitted tables are reproducible; the chooser is recorded in the table
 metadata and changing it must never break bijectivity.
 
-Riwi maps act on plain entry tuples, and so does their verification: a
-:class:`Code` is built only for a table pair or a counterexample message.
-Map files are validated through ``Code(...)`` when they are loaded.
+Riwi maps act on plain entry tuples, and so do their verification and
+the tables: a table pairs a code's entry tuple with its necklace's
+canonical entry tuple, and is rendered straight from those tuples.  A
+:class:`Code` is built only for a counterexample message.  Map files are
+validated through ``Code(...)`` when they are loaded.
 """
 
 from __future__ import annotations
@@ -38,8 +40,8 @@ from math import gcd
 from pathlib import Path
 from typing import Callable, Iterable
 
-from .codes import Code, _walk, is_prime, weighted_sum
-from .necklaces import Necklace, canonicalize, enumerate_necklaces
+from .codes import Code, _comma_literal, _walk, is_prime, weighted_sum
+from .necklaces import _bead_word, _generate, _least_rotation
 from .slime import unit_step
 
 # counterexample strings kept per verification; failure counts stay exact
@@ -163,13 +165,17 @@ def load_riwi_map(path: str | Path) -> RiwiMap:
 
 @dataclass(frozen=True, slots=True)
 class BijectionTable:
-    """An emitted code -> necklace table with its construction metadata."""
+    """An emitted code -> necklace table with its construction metadata.
+
+    ``pairs`` holds (code entries, canonical necklace entries) tuple pairs,
+    sorted by code.
+    """
 
     n: int
     k: int
     riwi: str
     chooser: str
-    pairs: tuple[tuple[Code, Necklace], ...]
+    pairs: tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]
 
     def to_json_dict(self) -> dict:
         return {
@@ -178,13 +184,14 @@ class BijectionTable:
             "riwi": self.riwi,
             "chooser": self.chooser,
             "pairs": [
-                {"code": list(c.entries), "necklace": list(m.canonical), "word": m.word}
+                {"code": list(c), "necklace": list(m), "word": _bead_word(m)}
                 for c, m in self.pairs
             ],
         }
 
     def to_csv_rows(self) -> list[list[str]]:
-        return [["code", "necklace", "word"]] + [[str(c), str(m), m.word] for c, m in self.pairs]
+        return [["code", "necklace", "word"]] + [
+            [_comma_literal(c), _comma_literal(m), _bead_word(m)] for c, m in self.pairs]
 
 
 CHOOSERS: dict[str, Callable] = {"lexmin": min, "lexmax": max}
@@ -201,18 +208,19 @@ def _pick(chooser: str) -> Callable:
 def build_sigma(n: int, k: int, chi: RiwiMap, chooser: str = "lexmin") -> BijectionTable:
     """The sigma construction over the full-period zero-residue codes, plus the constant code.
 
-    Walks the full-period necklaces whose weighted sum ws is 0 mod
-    g = gcd(n, k): exactly those have zero-residue rotations.  A left
-    rotation by s lowers ws by s * k, so those rotations start at
-    s0 = (ws / g) * (k / g)^(-1) mod q and step by q = n / g, and together
-    they are the necklace's neck-class.  Each class is anchored at the
-    member picked by ``chooser``, and stride rotations of the anchor pair
-    with necklaces of iterated chi images; the anchor's own image is the
-    necklace itself.  The constant code, which exists when n > 1 divides k
-    and has period 1, pairs with its own necklace when it is zero-residue:
-    always for odd n, and for even n only when k / n is even.  Pairs come
-    out sorted by code, so equal inputs give byte-equal tables.
-    Bijectivity is certified downstream, not here.
+    Walks the canonical entry tuples of the non-constant full-period
+    necklaces whose weighted sum ws is 0 mod g = gcd(n, k): exactly those
+    have zero-residue rotations.  A left rotation by s lowers ws by s * k,
+    so those rotations start at s0 = (ws / g) * (k / g)^(-1) mod q and step
+    by q = n / g, and together they are the necklace's neck-class.  Each
+    class is anchored at the member picked by ``chooser``, and stride
+    rotations of the anchor pair with necklaces of iterated chi images; the
+    anchor's own image is the necklace itself, and an image's necklace is
+    its least rotation.  The constant code, which exists when n divides k,
+    pairs with its own necklace when it is zero-residue: always for odd n
+    (n = 1 included), and for even n only when k / n is even.  Pairs are
+    plain entry tuples and come out sorted by code, so equal inputs give
+    byte-equal tables.  Bijectivity is certified downstream, not here.
     """
     if n < 1 or k < 0:
         raise ValueError(f"build_sigma: need n >= 1 and k >= 0, got ({n}, {k})")
@@ -220,23 +228,21 @@ def build_sigma(n: int, k: int, chi: RiwiMap, chooser: str = "lexmin") -> Biject
     g = gcd(n, k)
     q = n // g
     step = pow(k // g, -1, q)
-    pairs: list[tuple[Code, Necklace]] = []
-    for neck in enumerate_necklaces(n, k, full_period_only=True):
-        e = neck.canonical
+    pairs = []
+    for e in _generate(n, k, True):
         ws = weighted_sum(e)
         if ws % g:
             continue
         rep = pick([e[s:] + e[:s] for s in range(ws // g * step % q, n, q)])
-        pairs.append((Code._trusted(rep), neck))
+        pairs.append((rep, e))
         image = rep
         for s in range(q, n, q):
             image = chi.apply(image)
-            pairs.append((Code._trusted(rep[s:] + rep[:s]), canonicalize(Code._trusted(image))))
-    if n > 1 and k % n == 0:
-        const = (k // n,) * n
-        if weighted_sum(const) == 0:
-            pairs.append((Code._trusted(const), Necklace(const)))
-    pairs.sort(key=lambda p: p[0].entries)
+            pairs.append((rep[s:] + rep[:s], _least_rotation(image)))
+    const = (k // n,) * n
+    if k % n == 0 and weighted_sum(const) == 0:
+        pairs.append((const, const))
+    pairs.sort()
     return BijectionTable(n, k, chi.descriptor, chooser, tuple(pairs))
 
 

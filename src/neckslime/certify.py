@@ -8,10 +8,11 @@ collects its failures in one :class:`~neckslime.bijection.Tally`, the record
 :func:`verify_riwi` returns, and :func:`_certificate` turns it into the
 certificate.  The checks that walk a cell take its entry tuples and their
 weighted sums from one walk, ``codes._walk``, and build a :class:`Code`
-only for a counterexample; ``check_prime_bijection`` alone enumerates
-codes, because it compares lists of them.  A failing certificate is data,
-not an exception; exceptions are reserved for inapplicable inputs, e.g.
-asking for the odd-length invalidity check at even n.
+only for a counterexample; ``check_prime_bijection`` takes its domain from
+that walk too and compares the tables' entry-tuple pairs with it.  A
+failing certificate is data, not an exception; exceptions are reserved for
+inapplicable inputs, e.g. asking for the odd-length invalidity check at
+even n.
 
 The default :class:`Envelope` sweeps all n, k <= 8 plus prime lengths up to
 11, keeping every cell under a configurable enumeration budget.  Checks on
@@ -22,13 +23,14 @@ depend on scheduling.
 from __future__ import annotations
 
 import time
+from collections import Counter
 from dataclasses import dataclass, field
 from math import comb
 from typing import Callable, Iterator
 
 from .bijection import (CHOOSERS, CONSTRUCTIONS, RiwiMap, Tally, prime_bijection, riwi_rotation, riwi_slime,
                         verify_riwi)
-from .codes import Code, _walk, enumerate_codes, is_prime
+from .codes import Code, _walk, is_prime
 from .necklaces import count_necklaces, enumerate_necklaces
 from .slime import _weight, runs, step
 
@@ -199,27 +201,24 @@ def check_prime_bijection(n: int, k: int) -> Certificate:
     """
     t0 = time.perf_counter()
     tables = {chooser: prime_bijection(n, k, chooser) for chooser in CHOOSERS}
-    expected_codes = list(enumerate_codes(n, k, t=0))
+    expected_codes = [e for e, ws in _walk(n, k) if not ws]
     domain = set(expected_codes)
-    all_necklaces = set(enumerate_necklaces(n, k))
+    all_necklaces = {m.canonical for m in enumerate_necklaces(n, k)}
     expected = count_necklaces(n, k)
     tally = Tally(checked=len(expected_codes))
     for chooser, table in tables.items():
-        codes = [c for c, _ in table.pairs]
-        necks = [m for _, m in table.pairs]
+        codes, necks = [c for c, _ in table.pairs], [m for _, m in table.pairs]
         if codes != expected_codes:
-            only_table = sorted(set(codes) - domain, key=lambda c: c.entries)[:3]
-            only_domain = sorted(domain - set(codes), key=lambda c: c.entries)[:3]
-            tally.fail(
-                f"{chooser}: domain mismatch: unexpected {[str(c) for c in only_table]}, "
-                f"missing {[str(c) for c in only_domain]}"
-            )
+            only_table = sorted(set(codes) - domain)[:3]
+            only_domain = sorted(domain - set(codes))[:3]
+            tally.fail(f"{chooser}: domain mismatch: unexpected {[str(Code._trusted(c)) for c in only_table]}, "
+                       f"missing {[str(Code._trusted(c)) for c in only_domain]}")
         if len(set(necks)) != len(necks):
-            dup = sorted({f"<{m}>" for m in necks if necks.count(m) > 1})[:3]
+            dup = sorted(f"<{Code._trusted(m)}>" for m, count in Counter(necks).items() if count > 1)[:3]
             tally.fail(f"{chooser}: not injective: repeated necklaces {dup}")
         if set(necks) != all_necklaces:
-            missing = sorted(all_necklaces - set(necks), key=lambda m: m.canonical)[:3]
-            tally.fail(f"{chooser}: not surjective: unreached necklaces {[f'<{m}>' for m in missing]}")
+            missing = [f"<{Code._trusted(m)}>" for m in sorted(all_necklaces - set(necks))[:3]]
+            tally.fail(f"{chooser}: not surjective: unreached necklaces {missing}")
         if len(table.pairs) != expected:
             tally.fail(f"{chooser}: table has {len(table.pairs)} pairs, necklace count is {expected}")
     first, *others = (table.pairs for table in tables.values())

@@ -156,7 +156,7 @@ def _cmd_bijection(args: argparse.Namespace) -> int:
     elif args.format == "csv":
         csv.writer(sys.stdout, lineterminator="\n").writerows(table.to_csv_rows())
     else:
-        sys.stdout.writelines(f"{code} -> {neck} {neck.word}\n" for code, neck in table.pairs)
+        sys.stdout.writelines(f"{code} -> {neck} {word}\n" for code, neck, word in table.to_csv_rows()[1:])
     return 0
 
 

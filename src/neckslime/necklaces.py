@@ -34,6 +34,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import comb, gcd
+from typing import Iterator
 
 from .codes import Code, _comma_literal, _prime_factors, divisors
 
@@ -83,12 +84,15 @@ def canonicalize(code: Code) -> Necklace:
     before the first entry above v, so it is smaller.  Only those starts
     are compared; a constant code has none and is its own canonical form.
     """
-    e = code.entries
+    return Necklace(_least_rotation(code.entries))
+
+
+def _least_rotation(e: tuple[int, ...]) -> tuple[int, ...]:
+    """The lex-min rotation of an entry tuple, the kernel of :func:`canonicalize`."""
     n = len(e)
     v = min(e)
     twice = e + e
-    candidates = [twice[s:s + n] for s in range(n) if e[s] == v and e[s - 1] != v]
-    return Necklace(min(candidates, default=e))
+    return min([twice[s:s + n] for s in range(n) if e[s] == v and e[s - 1] != v], default=e)
 
 
 def code_to_word(code: Code) -> str:
@@ -143,14 +147,14 @@ def enumerate_necklaces(n: int, k: int, full_period_only: bool = False) -> list[
     """
     if n < 1 or k < 0:
         raise ValueError(f"enumerate_necklaces: need n >= 1 and k >= 0, got ({n}, {k})")
-    out = _generate(n, k, full_period_only) if n > 1 and k > 0 else []
+    out = [Necklace(e) for e in _generate(n, k, full_period_only)]
     if k % n == 0 and (n == 1 or not full_period_only):
         out.append(Necklace((k // n,) * n))
     return out
 
 
-def _generate(n: int, k: int, full_period_only: bool) -> list[Necklace]:
-    """The non-constant necklaces of length n >= 2 and content k >= 1, in order.
+def _generate(n: int, k: int, full_period_only: bool) -> Iterator[tuple[int, ...]]:
+    """The canonical entry tuples of the non-constant necklaces of length n and content k, in order.
 
     Depth t holds the prefix a[0..t] and two counters: ``p``, the period of
     the prefix, and ``left``, the content not yet placed.  The walk reaches
@@ -160,9 +164,11 @@ def _generate(n: int, k: int, full_period_only: bool) -> list[Necklace]:
     walk climbs from depth t.  The walk stops at depth n - 2, where the last
     entry is forced to take all the content left.  There p <= n - 1: a last
     entry above a[n - 1 - p] gives full period, and one equal to it keeps
-    period p, a necklace when p divides n.
+    period p, a necklace when p divides n.  Length 1 and content 0 have no
+    non-constant necklace, so they yield nothing.
     """
-    out: list[Necklace] = []
+    if n < 2 or k < 1:
+        return
     a = [0] * n
     p = 1
     left = k
@@ -181,7 +187,7 @@ def _generate(n: int, k: int, full_period_only: bool) -> list[Necklace]:
             u = a[last - p]
             if left > u or (left == u and not full_period_only and n % p == 0):
                 a[last] = left
-                out.append(Necklace(tuple(a)))
+                yield tuple(a)
         # next prefix in lexicographic order: raise the deepest entry that can rise
         while True:
             a[t] += 1
@@ -190,6 +196,6 @@ def _generate(n: int, k: int, full_period_only: bool) -> list[Necklace]:
                 p = t + 1
                 break
             if t == 0:
-                return out
+                return
             left += a[t]
             t -= 1

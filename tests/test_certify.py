@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import time
 from dataclasses import replace
 from math import comb
 
@@ -340,6 +341,53 @@ class TestPrimeBijectionCheck:
         ]
         assert cert.info == {"pairs": 26, "choosers_agree": False}
 
+    def test_unexpected_codes_are_capped_and_sorted(self, monkeypatch):
+        # the first five lexmin codes gain a unit of content, so five codes are foreign and five missing;
+        # each list keeps its first three in entry order, where '1,12,0' would sort before '1,3,9' as text
+        real = certify.prime_bijection
+
+        def broken(n, k, chooser="lexmin"):
+            table = real(n, k, chooser)
+            pairs = list(table.pairs)
+            if chooser == "lexmin":
+                for i in range(5):
+                    code, neck = pairs[i]
+                    pairs[i] = ((code[0] + 1,) + code[1:], neck)
+            return replace(table, pairs=tuple(pairs))
+
+        monkeypatch.setattr(certify, "prime_bijection", broken)
+        cert = check_prime_bijection(3, 12)
+        assert (cert.verdict, cert.failure_count) == ("fail", 1)
+        assert list(cert.counterexamples) == [
+            "lexmin: domain mismatch: unexpected ['1,0,12', '1,3,9', '1,6,6'], missing ['0,0,12', '0,3,9', '0,6,6']",
+        ]
+
+    def test_repeated_necklaces_are_counted_once(self, monkeypatch):
+        # every other row of the lexmin table at (13, 8) takes the necklace of the row before: 4,845 repeats
+        # among 9,690 rows, which a rescan of the whole list per necklace takes seconds to find
+        real = certify.prime_bijection
+
+        def broken(n, k, chooser="lexmin"):
+            table = real(n, k, chooser)
+            pairs = list(table.pairs)
+            if chooser == "lexmin":
+                for i in range(1, len(pairs), 2):
+                    pairs[i] = (pairs[i][0], pairs[i - 1][1])
+            return replace(table, pairs=tuple(pairs))
+
+        monkeypatch.setattr(certify, "prime_bijection", broken)
+        t0 = time.perf_counter()
+        cert = check_prime_bijection(13, 8)
+        elapsed = time.perf_counter() - t0
+        assert (cert.verdict, cert.failure_count, cert.examined) == ("fail", 2, 9690)
+        assert list(cert.counterexamples) == [
+            "lexmin: not injective: repeated necklaces "
+            "['<0,0,0,0,0,0,0,0,0,0,0,1,7>', '<0,0,0,0,0,0,0,0,0,0,0,3,5>', '<0,0,0,0,0,0,0,0,0,0,0,5,3>']",
+            "lexmin: not surjective: unreached necklaces "
+            "['<0,0,0,0,0,0,0,0,0,0,0,0,8>', '<0,0,0,0,0,0,0,0,0,0,0,2,6>', '<0,0,0,0,0,0,0,0,0,0,0,4,4>']",
+        ]
+        assert elapsed < 2.5, f"certifying a table with 4,845 repeated necklaces took {elapsed:.1f} s, budget 2.5 s"
+
 
 class TestCertificateShape:
     def test_json_line(self):
@@ -367,6 +415,12 @@ class TestCertificateShape:
         lines = text.splitlines()
         assert lines[0].split() == ["check", "n", "k", "verdict", "examined", "failures", "seconds"]
         assert "1 checks, 0 failed" in lines[-1]
+
+    def test_elapsed_within_the_callers_wall_time(self):
+        t0 = time.perf_counter()
+        cert = check_migration_laws(5, 5)
+        wall = time.perf_counter() - t0
+        assert 0 <= cert.elapsed_s <= wall
 
 
     def test_certificates_pinned(self):
@@ -409,6 +463,11 @@ class TestEnvelope:
         for n, k in env.cells():
             assert comb(n + k - 1, n - 1) <= 100
 
+    def test_cell_at_the_budget_admitted(self):
+        # C(5 + 3 - 1, 4) = 35 codes at (5, 3)
+        assert Envelope(max_codes=35).admits(5, 3)
+        assert not Envelope(max_codes=34).admits(5, 3)
+
     def test_composite_extra_ignored(self):
         env = Envelope(prime_extra=(9, 11))
         assert all(n != 9 for n, _ in env.cells())
@@ -416,6 +475,10 @@ class TestEnvelope:
     def test_repeated_extra_swept_once(self):
         cells = list(Envelope(n_max=1, k_max=1, prime_extra=(5, 5)).cells())
         assert cells == [(1, 0), (1, 1), (5, 0), (5, 1)]
+
+    def test_extra_at_n_max_swept_once(self):
+        cells = list(Envelope(n_max=5, k_max=1, prime_extra=(5,)).cells())
+        assert cells == [(n, k) for n in range(1, 6) for k in range(2)]
 
     def test_repeated_check_runs_once(self):
         envelope = Envelope(n_max=2, k_max=1, prime_extra=())

@@ -17,7 +17,12 @@ would time the cache instead of the kernel.
 
 A code's or a necklace's comma literal is built in one function and its
 bead word in another; ``__str__``, ``Necklace.word`` and ``code_to_word``
-call them, and every output prints the object itself.
+call them, and so do the two renderers of a sigma table, which print its
+entry tuples without wrapping them.
+
+A sigma table holds entry tuples from its build to its output:
+``build_sigma`` wraps no pair in a ``Code`` or a ``Necklace`` and calls
+no ``canonicalize``, and ``bijection.py`` does not import ``Necklace``.
 
 Which built-in sigma construction serves a cell is decided in one place,
 the rows of ``bijection.CONSTRUCTIONS``: ``sigma_table`` tests no primality
@@ -30,10 +35,9 @@ file, for ``bijection --map`` and ``verify-riwi`` alike, through
 ``check_riwi``.
 
 The certificates walk entry tuples: ``certify.py`` does not import
-``weighted_sum``, names ``enumerate_codes`` only in ``check_prime_bijection``
-(which compares lists of codes) and builds a ``Code`` only inside a message,
-and ``verify_riwi`` walks its cell through ``codes._walk``, which carries
-each code's weighted sum.
+``weighted_sum``, never names ``enumerate_codes`` and builds a ``Code`` only
+inside a message, and ``verify_riwi`` walks its cell through ``codes._walk``,
+which carries each code's weighted sum.
 
 The command line prints every single result in one function and every
 stream of certificates in another; only the commands with an output shape
@@ -206,10 +210,13 @@ def _builds_bead_word(node: ast.AST, scope: str) -> bool:
 
 def test_comma_literals_are_written_once():
     """A code and a necklace print as ``0,0,3`` and as ``BBBWWW`` through one kernel each, which their
-    ``__str__``, ``Necklace.word`` and ``code_to_word`` call; nothing else re-types either."""
+    ``__str__``, ``Necklace.word``, ``code_to_word`` and a sigma table's renderers call; nothing else
+    re-types either."""
     for builds, kernel, callers in (
-        (_builds_comma_literal, "_comma_literal", {"Code.__str__", "Necklace.__str__"}),
-        (_builds_bead_word, "_bead_word", {"Necklace.word", "code_to_word"}),
+        (_builds_comma_literal, "_comma_literal",
+         {"Code.__str__", "Necklace.__str__", "BijectionTable.to_csv_rows"}),
+        (_builds_bead_word, "_bead_word",
+         {"Necklace.word", "code_to_word", "BijectionTable.to_csv_rows", "BijectionTable.to_json_dict"}),
     ):
         assert {scope for _, scope, _ in _package_nodes(builds)} == {kernel}
         assert {scope for _, scope, _ in _package_calls(_calls_named(kernel))} == callers
@@ -236,13 +243,13 @@ def test_riwi_maps_are_judged_through_check_riwi():
 
 
 def test_certificates_walk_entry_tuples():
-    """``certify.py`` sums no code and wraps one in a ``Code`` only for a message; ``verify_riwi`` walks
-    its cell through ``_walk``, so neither can fall back to a ``Code`` and a fresh sum per code."""
+    """``certify.py`` sums no code, never names ``enumerate_codes`` and wraps a code in a ``Code`` only for
+    a message; ``verify_riwi`` walks its cell through ``_walk``, so neither can fall back to a ``Code`` and
+    a fresh sum per code."""
     tree = MODULES["certify.py"]
     imported = {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) for alias in node.names}
     assert "_walk" in imported and "weighted_sum" not in imported | _references(tree)
-    naming = _nodes(tree, lambda node, scope: isinstance(node, ast.Name) and node.id == "enumerate_codes")
-    assert {scope for scope, _ in naming} == {"check_prime_bijection"}
+    assert "enumerate_codes" not in imported | _references(tree)
     trusted = _calls(tree, _calls_named("_trusted"))
     in_messages = [call for node in ast.walk(tree) if isinstance(node, ast.JoinedStr)
                    for call in _calls(node, _calls_named("_trusted"))]
@@ -251,6 +258,17 @@ def test_certificates_walk_entry_tuples():
                 if isinstance(node, ast.FunctionDef) and node.name == "verify_riwi"]
     called = {getattr(node.func, "id", None) for node in ast.walk(verify) if isinstance(node, ast.Call)}
     assert "_walk" in called and "enumerate_codes" not in called
+
+
+def test_sigma_tables_hold_entry_tuples():
+    """``build_sigma`` pairs plain entry tuples: it calls no ``Code._trusted``, ``Necklace`` or
+    ``canonicalize``, and ``bijection.py`` does not import ``Necklace``, so no table pair can be
+    wrapped again."""
+    tree = MODULES["bijection.py"]
+    [build] = [node for node in tree.body if isinstance(node, ast.FunctionDef) and node.name == "build_sigma"]
+    assert _calls(build, _calls_named("_trusted", "Necklace", "canonicalize")) == []
+    imported = {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) for alias in node.names}
+    assert "_generate" in imported and "Necklace" not in imported
 
 
 def _is_print(call: ast.Call, scope: str) -> bool:
