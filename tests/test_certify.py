@@ -315,21 +315,30 @@ class TestPrimeBijectionCheck:
         ]
         assert cert.info == {"pairs": 3, "choosers_agree": False}
 
-    def test_counterexample_lists_are_capped_and_sorted(self, monkeypatch):
-        # five codes and necklaces missing, four necklaces repeated: each list keeps its first three,
-        # codes and unreached necklaces in entry order, repeated necklaces in the order of their text
+    @staticmethod
+    def broken_tables(monkeypatch, edit):
+        """Patch ``certify.prime_bijection`` so that ``edit(chooser, pairs)`` rewrites each table's list of pairs."""
         real = certify.prime_bijection
 
         def broken(n, k, chooser="lexmin"):
             table = real(n, k, chooser)
             pairs = list(table.pairs)
-            if chooser == "lexmin":  # drop the first five pairs
-                return replace(table, pairs=tuple(pairs[5:]))
-            for i in (1, 3, 5, 7):  # rows 1, 3, 5 and 7 take the necklace of the row before
-                pairs[i] = (pairs[i][0], pairs[i - 1][1])
+            edit(chooser, pairs)
             return replace(table, pairs=tuple(pairs))
 
         monkeypatch.setattr(certify, "prime_bijection", broken)
+
+    def test_counterexample_lists_are_capped_and_sorted(self, monkeypatch):
+        # five codes and necklaces missing, four necklaces repeated: each list keeps its first three,
+        # codes and unreached necklaces in entry order, repeated necklaces in the order of their text
+        def edit(chooser, pairs):
+            if chooser == "lexmin":  # drop the first five pairs
+                del pairs[:5]
+                return
+            for i in (1, 3, 5, 7):  # rows 1, 3, 5 and 7 take the necklace of the row before
+                pairs[i] = (pairs[i][0], pairs[i - 1][1])
+
+        self.broken_tables(monkeypatch, edit)
         cert = check_prime_bijection(3, 12)
         assert (cert.verdict, cert.failure_count, cert.examined) == ("fail", 5, 31)
         assert list(cert.counterexamples) == [
@@ -344,18 +353,13 @@ class TestPrimeBijectionCheck:
     def test_unexpected_codes_are_capped_and_sorted(self, monkeypatch):
         # the first five lexmin codes gain a unit of content, so five codes are foreign and five missing;
         # each list keeps its first three in entry order, where '1,12,0' would sort before '1,3,9' as text
-        real = certify.prime_bijection
-
-        def broken(n, k, chooser="lexmin"):
-            table = real(n, k, chooser)
-            pairs = list(table.pairs)
+        def edit(chooser, pairs):
             if chooser == "lexmin":
                 for i in range(5):
                     code, neck = pairs[i]
                     pairs[i] = ((code[0] + 1,) + code[1:], neck)
-            return replace(table, pairs=tuple(pairs))
 
-        monkeypatch.setattr(certify, "prime_bijection", broken)
+        self.broken_tables(monkeypatch, edit)
         cert = check_prime_bijection(3, 12)
         assert (cert.verdict, cert.failure_count) == ("fail", 1)
         assert list(cert.counterexamples) == [
@@ -365,17 +369,12 @@ class TestPrimeBijectionCheck:
     def test_repeated_necklaces_are_counted_once(self, monkeypatch):
         # every other row of the lexmin table at (13, 8) takes the necklace of the row before: 4,845 repeats
         # among 9,690 rows, which a rescan of the whole list per necklace takes seconds to find
-        real = certify.prime_bijection
-
-        def broken(n, k, chooser="lexmin"):
-            table = real(n, k, chooser)
-            pairs = list(table.pairs)
+        def edit(chooser, pairs):
             if chooser == "lexmin":
                 for i in range(1, len(pairs), 2):
                     pairs[i] = (pairs[i][0], pairs[i - 1][1])
-            return replace(table, pairs=tuple(pairs))
 
-        monkeypatch.setattr(certify, "prime_bijection", broken)
+        self.broken_tables(monkeypatch, edit)
         t0 = time.perf_counter()
         cert = check_prime_bijection(13, 8)
         elapsed = time.perf_counter() - t0
